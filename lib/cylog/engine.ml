@@ -242,6 +242,9 @@ type t = {
   use_delta : bool;
   use_planner : bool;
   mutable infos : stmt_info array;
+  mutable schedule : Schedule.t;
+      (* the statements a step under [use_delta] examines; rebuilt, all
+         awake, whenever [infos] is — derived state, never serialised *)
   fired : (string, unit) Hashtbl.t;
   open_tbl : (open_id, open_tuple) Hashtbl.t;
   mutable open_order : open_id list;  (* reverse creation order *)
@@ -549,6 +552,8 @@ let make_info ~use_delta ((s : Ast.statement), origin) =
        else None);
   }
 
+let schedule_of db infos = Schedule.create db (Array.map (fun i -> i.body_rels) infos)
+
 let load ?builtins ?(use_delta = true) ?(use_planner = true) ?(lint = `Strict)
     ?(analysis = true) ?journal ?journal_config (program : Ast.program) =
   (match lint with
@@ -579,6 +584,7 @@ let load ?builtins ?(use_delta = true) ?(use_planner = true) ?(lint = `Strict)
     use_delta;
     use_planner;
     infos;
+    schedule = schedule_of db infos;
     fired = Hashtbl.create 1024;
     open_tbl = Hashtbl.create 64;
     open_order = [];
@@ -658,6 +664,7 @@ let add_statement t (s : Ast.statement) =
      statements reading the affected relations watch their destruction
      counters and re-derive themselves when a mutation actually lands. *)
   t.infos <- Array.append t.infos [| make_info ~use_delta:t.use_delta (s, Main) |];
+  t.schedule <- schedule_of t.db t.infos;
   t.analysis_cache <- None
 
 let builtins t = t.builtins
@@ -1331,95 +1338,116 @@ let rec pop_unfired t idx info (ds : delta_state) =
       ds.pending <- rest;
       if Hashtbl.mem t.fired fp then pop_unfired t idx info ds else Some (m, fp)
 
-let step_core t ~rows0 =
-  let n = Array.length t.infos in
-  let rec try_stmt i =
-    if i >= n then None
-    else
-      let info = t.infos.(i) in
-      match info.delta with
-      | Some ds -> (
-          (* Scan every step (cheap when nothing changed): a row appended
-             by the previous fire may complete an instance whose support
-             key precedes everything already pending, and the naive order
-             must fire it first. *)
-          delta_scan t i info ds;
-          match pop_unfired t i info ds with
-          | None -> try_stmt (i + 1)
-          | Some (m, fp) -> (
-              try Some (fire_traced t i info ~rows0 m fp)
-              with Eval.Error msg ->
-                runtime_error "statement %s: %s"
-                  (Option.value info.stmt.Ast.label ~default:(string_of_int i))
-                  msg))
-      | None ->
-          let gen = body_generation t info in
-          if info.exhausted_gen = gen then try_stmt (i + 1)
-          else begin
-            let found = ref None in
-            (try
-               match rescan_plan t info ~key:(plan_key t info) with
-               | Some p ->
-                   (* Planned enumeration produces valuations out of
-                      conflict-resolution order, so scan them all and keep
-                      the unfired instance valued by the earliest rows —
-                      exactly the instance left-to-right evaluation stops
-                      at first. *)
-                   let best_key = ref None in
-                   Eval.enumerate
-                     ~reordered:(p.Planner.literals, p.Planner.order)
-                     t.builtins t.db info.prefix ~init:Binding.empty
-                     ~f:(fun m ->
-                       let fp = fingerprint i info m.support in
-                       if Hashtbl.mem t.fired fp then `Continue
-                       else begin
-                         let key =
-                           List.map (fun (_, row, ver) -> (row, ver)) m.support
-                         in
-                         (match !best_key with
-                         | Some k0 when compare k0 key <= 0 -> ()
-                         | _ ->
-                             best_key := Some key;
-                             found := Some (m, fp));
-                         `Continue
-                       end)
-               | None ->
-                   Eval.enumerate t.builtins t.db info.prefix ~init:Binding.empty
-                     ~f:(fun m ->
-                       let fp = fingerprint i info m.support in
-                       if Hashtbl.mem t.fired fp then `Continue
-                       else begin
-                         found := Some (m, fp);
-                         `Stop
-                       end)
-             with Eval.Error msg ->
-               runtime_error "statement %s: %s"
-                 (Option.value info.stmt.Ast.label ~default:(string_of_int i))
-                 msg);
-            match !found with
-            | None ->
-                info.exhausted_gen <- gen;
-                try_stmt (i + 1)
-            | Some (m, fp) -> (
-                try Some (fire_traced t i info ~rows0 m fp)
-                with Eval.Error msg ->
-                  runtime_error "statement %s: %s"
-                    (Option.value info.stmt.Ast.label ~default:(string_of_int i))
-                    msg)
-          end
-  in
-  try_stmt 0
+let fire_checked t i info ~rows0 m fp =
+  try Some (fire_traced t i info ~rows0 m fp)
+  with Eval.Error msg ->
+    runtime_error "statement %s: %s"
+      (Option.value info.stmt.Ast.label ~default:(string_of_int i))
+      msg
 
-(* One machine step, metered: step count and the step's share of the
-   process-wide row-scan counter (sampled as a before/after delta, so
-   external resets between steps — e.g. the bench harness — don't skew
-   it). *)
+(* Examine statement [i]: fire its conflict-resolution winner, or [None]
+   when it has no unfired instance. *)
+let visit t ~rows0 i =
+  let info = t.infos.(i) in
+  match info.delta with
+  | Some ds -> (
+      delta_scan t i info ds;
+      match pop_unfired t i info ds with
+      | None -> None
+      | Some (m, fp) -> fire_checked t i info ~rows0 m fp)
+  | None ->
+      let gen = body_generation t info in
+      if info.exhausted_gen = gen then None
+      else begin
+        let found = ref None in
+        (try
+           match rescan_plan t info ~key:(plan_key t info) with
+           | Some p ->
+               (* Planned enumeration produces valuations out of
+                  conflict-resolution order, so scan them all and keep
+                  the unfired instance valued by the earliest rows —
+                  exactly the instance left-to-right evaluation stops
+                  at first. *)
+               let best_key = ref None in
+               Eval.enumerate
+                 ~reordered:(p.Planner.literals, p.Planner.order)
+                 t.builtins t.db info.prefix ~init:Binding.empty
+                 ~f:(fun m ->
+                   let fp = fingerprint i info m.support in
+                   if Hashtbl.mem t.fired fp then `Continue
+                   else begin
+                     let key =
+                       List.map (fun (_, row, ver) -> (row, ver)) m.support
+                     in
+                     (match !best_key with
+                     | Some k0 when compare k0 key <= 0 -> ()
+                     | _ ->
+                         best_key := Some key;
+                         found := Some (m, fp));
+                     `Continue
+                   end)
+           | None ->
+               Eval.enumerate t.builtins t.db info.prefix ~init:Binding.empty
+                 ~f:(fun m ->
+                   let fp = fingerprint i info m.support in
+                   if Hashtbl.mem t.fired fp then `Continue
+                   else begin
+                     found := Some (m, fp);
+                     `Stop
+                   end)
+         with Eval.Error msg ->
+           runtime_error "statement %s: %s"
+             (Option.value info.stmt.Ast.label ~default:(string_of_int i))
+             msg);
+        match !found with
+        | None ->
+            info.exhausted_gen <- gen;
+            None
+        | Some (m, fp) -> fire_checked t i info ~rows0 m fp
+      end
+
+(* Fire the first statement, in priority order, that has an unfired
+   instance; also return how many statements were examined. The rescan
+   reference examines every statement up to that one. The optimised
+   strategy examines only the statements its schedule holds awake: a
+   skipped statement yielded nothing when last examined and no relation
+   in its body has changed since, so examining it would yield nothing
+   again. *)
+let step_core t ~rows0 =
+  let rec walk_all i examined =
+    if i >= Array.length t.infos then (None, examined)
+    else
+      match visit t ~rows0 i with
+      | Some _ as fired -> (fired, examined + 1)
+      | None -> walk_all (i + 1) (examined + 1)
+  in
+  let rec walk_awake examined =
+    let i = Schedule.first t.schedule in
+    if i < 0 then (None, examined)
+    else
+      match visit t ~rows0 i with
+      | Some _ as fired -> (fired, examined + 1)
+      | None ->
+          Schedule.sleep_first t.schedule;
+          walk_awake (examined + 1)
+  in
+  if t.use_delta then begin
+    Schedule.poll t.schedule;
+    walk_awake 0
+  end
+  else walk_all 0 0
+
+(* One machine step, metered: step count, statements examined and the
+   step's share of the process-wide row-scan counter (sampled as a
+   before/after delta, so external resets between steps — e.g. the bench
+   harness — don't skew it). *)
 let step_internal t =
   let m = Telemetry.metrics t.tel in
   let rows0 = Eval.rows_scanned () in
-  let result = step_core t ~rows0 in
+  let result, examined = step_core t ~rows0 in
   Telemetry.Metrics.incr m "engine.steps";
   Telemetry.Metrics.incr m ~by:(Eval.rows_scanned () - rows0) "eval.rows_scanned";
+  Telemetry.Metrics.incr m ~by:examined "eval.statements_examined";
   (match result with
   | None -> Telemetry.Metrics.incr m "engine.steps.empty"
   | Some _ -> ());
@@ -2664,6 +2692,7 @@ let restore_state ?builtins ?aggregate (p : state_payload) =
     use_delta = p.st_use_delta;
     use_planner = p.st_use_planner;
     infos;
+    schedule = schedule_of p.st_db infos;
     fired = p.st_fired;
     open_tbl = p.st_open_tbl;
     open_order = p.st_open_order;

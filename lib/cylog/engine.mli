@@ -183,11 +183,13 @@ val load : ?builtins:Builtin.registry -> ?use_delta:bool ->
     ordered by support key. Statements whose body relations are targets
     of /update or /delete stay differential between destructive
     mutations and re-derive — scoped to themselves, not the program —
-    when one lands. The two strategies are trace-identical: with [false]
-    every statement re-enumerates its whole join per step (the reference
-    strategy — asymptotically slower but the differential-testing
-    baseline), and produces the same events, journal and snapshots byte
-    for byte.
+    when one lands. A step examines a statement only if it fired when
+    last examined or a relation in its body changed since (see
+    {!Schedule}). The two strategies are trace-identical: with [false]
+    every step walks every statement in priority order and each one
+    re-enumerates its whole join (the reference strategy —
+    asymptotically slower but the differential-testing baseline), and
+    produces the same events, journal and snapshots byte for byte.
 
     [use_planner] (default [true]) enables cost-based reordering of each
     statement body via {!Planner.plan}, with plans cached per statement
@@ -200,7 +202,10 @@ val load : ?builtins:Builtin.registry -> ?use_delta:bool ->
     @raise Lint.Rejected in [`Strict] mode on ill-formed programs. *)
 
 val database : t -> Reldb.Database.t
-(** The live database (shared, not a copy). *)
+(** The live database (shared, not a copy). Rows inserted, updated or
+    deleted through it are seen at the next {!step}: every change bumps
+    the relation's {!Reldb.Relation.generation}, which each step polls to
+    wake the statements that read it. *)
 
 val statements : t -> (Ast.statement * origin) list
 (** Effective statements in priority order. *)
@@ -209,9 +214,14 @@ val add_statement : t -> Ast.statement -> unit
 (** Append a statement at the lowest priority — the REPL building block.
     Relations it mentions for the first time are declared by inference;
     using an unknown attribute of an existing relation is an error. A new
-    [/update]/[/delete] target downgrades delta-evaluated readers of that
-    relation to the rescan strategy. Game aspects cannot be added
-    incrementally. @raise Runtime_error on schema conflicts. *)
+    [/update]/[/delete] target needs no change to the statements that
+    read its relation: delta-evaluated readers watch the relation's
+    change counters and re-derive, scoped to themselves, once a mutation
+    lands. Afterwards every statement is awake again — examined at the
+    next step unless an earlier one fires — as after {!load} (see
+    {!Schedule}).
+    Game aspects cannot be added incrementally.
+    @raise Runtime_error on schema conflicts. *)
 
 val builtins : t -> Builtin.registry
 (** The builtin registry in use. *)

@@ -809,21 +809,6 @@ let test_add_statement_incremental () =
   Alcotest.(check bool) "schema fixed" true
     (try add "T(y) <- R(zzz:y);"; false with Engine.Runtime_error _ -> true)
 
-let test_add_statement_delta_downgrade () =
-  let engine = Engine.load (Parser.parse_exn "rules: R(x:1); S(x) <- R(x);") in
-  ignore (Engine.run engine);
-  (* Adding a delete on R downgrades S's reader to rescan; evaluation must
-     still be correct afterwards. *)
-  List.iter (Engine.add_statement engine) (Parser.parse_statements_exn "R(x:1)/delete;");
-  ignore (Engine.run engine);
-  let r = Reldb.Database.find_exn (Engine.database engine) "R" in
-  Alcotest.(check int) "deleted" 0 (Reldb.Relation.cardinal r);
-  List.iter (Engine.add_statement engine) (Parser.parse_statements_exn "R(x:9);");
-  ignore (Engine.run engine);
-  let s = Reldb.Database.find_exn (Engine.database engine) "S" in
-  Alcotest.(check bool) "rescan reader still derives" true
-    (Reldb.Relation.mem s (Reldb.Tuple.of_list [ ("x", v_int 9) ]))
-
 (* --- Precedence graph (Figure 14) ----------------------------------------- *)
 
 let test_precedence_figure14 () =
@@ -1069,9 +1054,7 @@ let suite =
         Alcotest.test_case "decline removes open" `Quick test_decline_removes_open;
         Alcotest.test_case "parameterless game: one instance" `Quick
           test_game_without_params_single_instance;
-        Alcotest.test_case "incremental statements" `Quick test_add_statement_incremental;
-        Alcotest.test_case "incremental delta downgrade" `Quick
-          test_add_statement_delta_downgrade ] );
+        Alcotest.test_case "incremental statements" `Quick test_add_statement_incremental ] );
     ( "cylog.views",
       [ Alcotest.test_case "parsed around raw markup" `Quick test_views_parsed;
         Alcotest.test_case "render open tuple" `Quick test_views_render_open;

@@ -24,7 +24,9 @@ open Cylog
 (* --- Random program generation ------------------------------------------ *)
 
 (* Relations R0..R3 over attributes a/b; constants 0..4; rule bodies of one
-   or two positive atoms sharing variables, with an optional comparison. *)
+   or two positive atoms sharing variables, with an optional comparison.
+   Facts are shuffled in among the rules, so a fact can wake a statement
+   that precedes it. *)
 
 let gen_program : Ast.program QCheck.arbitrary =
   let open QCheck.Gen in
@@ -100,7 +102,8 @@ let gen_program : Ast.program QCheck.arbitrary =
     let* n_rules = int_range 1 5 in
     let* facts = list_repeat n_facts gen_fact in
     let* rules = list_repeat n_rules gen_rule in
-    return { Ast.schemas = []; statements = facts @ rules; games = []; views = [] }
+    let* statements = shuffle_l (facts @ rules) in
+    return { Ast.schemas = []; statements; games = []; views = [] }
   in
   QCheck.make ~print:Pretty.program_to_string gen
 
@@ -255,14 +258,12 @@ let with_open_rule (program : Ast.program) =
   in
   { program with Ast.statements = program.statements @ [ ask; echo ] }
 
-let drive_with_canonical_human ~use_delta ?use_planner program =
-  (* [with_open_rule]'s Ask/Echo pair is a deliberate open cycle, which
-     strict linting now rejects as unbounded-task-emission. *)
-  let engine = Engine.load ~lint:`Off ~use_delta ?use_planner program in
-  ignore (Engine.run engine ~max_steps:20_000);
-  let rec answer rounds =
-    if rounds > 500 then ()
-    else
+(* Answer up to [rounds] open tuples, running to quiescence after each:
+   always the pending one with the least (relation, bound), with a value
+   derived from its bound part. *)
+let answer_canonically ?(rounds = 501) engine =
+  let rec answer k =
+    if k < rounds then
       let pending =
         List.sort
           (fun (a : Engine.open_tuple) (b : Engine.open_tuple) ->
@@ -282,9 +283,16 @@ let drive_with_canonical_human ~use_delta ?use_planner program =
           | Ok _ -> ()
           | Error _ -> Engine.decline engine o.id);
           ignore (Engine.run engine ~max_steps:20_000);
-          answer (rounds + 1)
+          answer (k + 1)
   in
-  answer 0;
+  answer 0
+
+let drive_with_canonical_human ~use_delta ?use_planner program =
+  (* [with_open_rule]'s Ask/Echo pair is a deliberate open cycle, which
+     strict linting now rejects as unbounded-task-emission. *)
+  let engine = Engine.load ~lint:`Off ~use_delta ?use_planner program in
+  ignore (Engine.run engine ~max_steps:20_000);
+  answer_canonically engine;
   engine
 
 let prop_delta_equals_rescan_with_humans =
@@ -364,9 +372,11 @@ let test_turing_planner_differential () =
    in-place mutation invalidates pending delta state mid-fixpoint, so these
    pin down the watch-triggered scoped re-derivation path (and, via the
    optional prefix negation, the generation watch that catches appends
-   flipping a discovery-time [not K(..)]). Source-level generation keeps
-   counterexamples directly readable. Runs are capped; a capped run is
-   still trace-comparable, both engines cut off at the same step. *)
+   flipping a discovery-time [not K(..)], and deletions from K that make
+   it true again). Facts are shuffled in among the rules. Source-level
+   generation keeps counterexamples directly readable. Runs are capped; a
+   capped run is still trace-comparable, both engines cut off at the same
+   step. *)
 let gen_ud_program : string QCheck.arbitrary =
   let open QCheck.Gen in
   let gen =
@@ -376,35 +386,30 @@ let gen_ud_program : string QCheck.arbitrary =
     in
     let* upds = list_size (int_range 1 3) (pair (int_bound 2) (int_bound 4)) in
     let* dels = list_size (int_bound 2) (pair (int_bound 2) (int_range 2 4)) in
+    let* kdels = list_size (int_bound 1) (pair (int_bound 2) (int_bound 4)) in
     let* copies = list_size (int_bound 2) (pair (int_bound 2) (int_bound 2)) in
     let* with_neg = bool in
-    let buf = Buffer.create 512 in
-    Buffer.add_string buf "schema:\n  K(a key, b);\n\nrules:\n";
-    List.iter
-      (fun (a, b) -> Buffer.add_string buf (Printf.sprintf "  K(a:%d, b:%d);\n" a b))
-      kfacts;
-    List.iter
-      (fun (r, a, b) ->
-        Buffer.add_string buf (Printf.sprintf "  R%d(a:%d, b:%d);\n" r a b))
-      rfacts;
-    List.iter
-      (fun (r, c) ->
-        Buffer.add_string buf
-          (Printf.sprintf "  K(a:x, b:y)/update <- R%d(a:x, b:y), y <= %d;\n" r c))
-      upds;
-    List.iter
-      (fun (r, c) ->
-        Buffer.add_string buf
-          (Printf.sprintf "  R%d(a:x)/delete <- K(a:x, b:y), %d <= y;\n" r c))
-      dels;
-    List.iter
-      (fun (r, s) ->
-        Buffer.add_string buf
-          (Printf.sprintf "  R%d(a:y, b:y) <- K(a:x, b:y), R%d(a:x);\n" r s))
-      copies;
-    if with_neg then
-      Buffer.add_string buf "  R2(a:x, b:x) <- R0(a:x), not K(a:x), R1(a:x);\n";
-    return (Buffer.contents buf)
+    let statements =
+      List.map (fun (a, b) -> Printf.sprintf "K(a:%d, b:%d);" a b) kfacts
+      @ List.map (fun (r, a, b) -> Printf.sprintf "R%d(a:%d, b:%d);" r a b) rfacts
+      @ List.map
+          (fun (r, c) -> Printf.sprintf "K(a:x, b:y)/update <- R%d(a:x, b:y), y <= %d;" r c)
+          upds
+      @ List.map
+          (fun (r, c) -> Printf.sprintf "R%d(a:x)/delete <- K(a:x, b:y), %d <= y;" r c)
+          dels
+      @ List.map
+          (fun (r, c) -> Printf.sprintf "K(a:x)/delete <- R%d(a:x, b:y), %d <= y;" r c)
+          kdels
+      @ List.map
+          (fun (r, s) -> Printf.sprintf "R%d(a:y, b:y) <- K(a:x, b:y), R%d(a:x);" r s)
+          copies
+      @ if with_neg then [ "R2(a:x, b:x) <- R0(a:x), not K(a:x), R1(a:x);" ] else []
+    in
+    let* statements = shuffle_l statements in
+    return
+      ("schema:\n  K(a key, b);\n\nrules:\n"
+      ^ String.concat "" (List.map (fun st -> "  " ^ st ^ "\n") statements))
   in
   QCheck.make ~print:(fun s -> s) gen
 
@@ -553,6 +558,120 @@ let test_quorum_delta_differential () =
            (adaptive_campaign_engine ~use_delta:false ~seed ())))
     [ 1; 7 ]
 
+(* --- Statement scheduling ------------------------------------------------- *)
+
+(* The optimised strategy examines only the statements whose body
+   relations changed since they last yielded nothing; the rescan reference
+   examines every statement on every step. These comparisons cover the
+   ways the schedule's inputs change outside a plain run: rows written
+   straight into the database, statements added mid-run, and engines
+   rebuilt mid-campaign by a snapshot restore or a journal recovery. *)
+
+(* Host writes: before each, the number of steps to take first; then a
+   row for R<rel> valued (a, b). *)
+let gen_host_writes =
+  let print (steps, rel, a, b) = Printf.sprintf "%d steps, R%d(%d, %d)" steps rel a b in
+  QCheck.make ~print:(QCheck.Print.list print)
+    QCheck.Gen.(
+      list_size (int_range 1 4) (quad (int_bound 5) (int_bound 3) (int_bound 4) (int_bound 4)))
+
+let host_insert engine rel a b =
+  match Reldb.Database.find (Engine.database engine) (Printf.sprintf "R%d" rel) with
+  | None -> ()
+  | Some r ->
+      let value attr = Reldb.Value.Int (if attr = "a" then a else b) in
+      ignore
+        (Reldb.Relation.insert r
+           (Reldb.Tuple.of_list
+              (List.map
+                 (fun attr -> (attr, value attr))
+                 (Reldb.Schema.attributes (Reldb.Relation.schema r)))))
+
+let prop_delta_equals_rescan_with_host_rows =
+  QCheck.Test.make
+    ~name:"delta = rescan with rows inserted between steps (trace + journal)"
+    ~count:200 (QCheck.pair gen_program gen_host_writes) (fun (program, writes) ->
+      let drive use_delta =
+        let engine = Engine.load ~use_delta program in
+        List.iter
+          (fun (steps, rel, a, b) ->
+            for _ = 1 to steps do
+              ignore (Engine.step engine)
+            done;
+            host_insert engine rel a b)
+          writes;
+        ignore (Engine.run engine ~max_steps:20_000);
+        engine
+      in
+      engines_equivalent (drive true) (drive false))
+
+(* Statements added mid-run, a new /delete target among them: S reads R
+   through a delta scan, so the deletion resets its state, and T, added
+   after it, negates R. *)
+let test_add_statement_delta_differential () =
+  let drive use_delta =
+    let engine = Engine.load ~use_delta (Parser.parse_exn "rules: R(x:1); S(x) <- R(x);") in
+    ignore (Engine.run engine);
+    let add src =
+      List.iter (Engine.add_statement engine) (Parser.parse_statements_exn src);
+      ignore (Engine.run engine)
+    in
+    add "R(x:1)/delete;";
+    let r = Reldb.Database.find_exn (Engine.database engine) "R" in
+    Alcotest.(check int) "deleted" 0 (Reldb.Relation.cardinal r);
+    add "R(x:9); T(x) <- S(x), not R(x);";
+    engine
+  in
+  let delta = drive true and rescan = drive false in
+  let s = Reldb.Database.find_exn (Engine.database delta) "S" in
+  Alcotest.(check bool) "reader of the /delete target still derives" true
+    (Reldb.Relation.mem s (Reldb.Tuple.of_list [ ("x", Reldb.Value.Int 9) ]));
+  Alcotest.(check bool) "delta on = off" true (engines_equivalent delta rescan)
+
+(* A labelling campaign over 160 fact statements, 40 of them after the
+   rules, interrupted after 30 answers. The engine rebuilt by a snapshot
+   restore and the one rebuilt by cold journal recovery (from a compacted
+   in-memory journal) must each finish exactly as the uninterrupted run
+   does, and every run must match its rescan counterpart. *)
+let fact_heavy_src =
+  let item i = Printf.sprintf "  Item(id:%d);\n" i in
+  String.concat ""
+    (("rules:\n" :: List.init 120 item)
+    @ [ "  Q: LabelOf(id, label)/open <- Item(id);\n";
+        "  Tally(label) <- LabelOf(id, label);\n";
+        "  Item(id)/delete <- LabelOf(id, label:3);\n" ]
+    @ List.init 40 (fun i -> item (120 + i)))
+
+let test_fact_heavy_restore_and_recover () =
+  let program = Parser.parse_exn fact_heavy_src in
+  let config = { Journal.fsync = Journal.Always; segment_bytes = 4096; compact_every = Some 16 } in
+  let campaign use_delta =
+    (* The /delete on Item closes an open cycle through Q, which strict
+       linting rejects as unbounded task emission. *)
+    let live = Engine.load ~lint:`Off ~use_delta program in
+    ignore (Engine.run live);
+    answer_canonically live;
+    let sim = Storage.Sim.create () in
+    let cut = Engine.load ~lint:`Off ~use_delta program in
+    Engine.journal_start ~config ~storage:(Storage.Sim.storage sim) cut "j";
+    ignore (Engine.run cut);
+    answer_canonically ~rounds:30 cut;
+    let restored = Engine.restore_string (Engine.snapshot_string cut) in
+    let recovered, _ = Engine.recover ~config ~storage:(Storage.Sim.storage sim) "j" in
+    answer_canonically restored;
+    answer_canonically recovered;
+    [ ("uninterrupted", live); ("restored", restored); ("recovered", recovered) ]
+  in
+  let delta = campaign true and rescan = campaign false in
+  let live = List.assoc "uninterrupted" delta in
+  Alcotest.(check bool) "campaign finished" true (Engine.pending live = []);
+  List.iter2
+    (fun (label, d) (_, r) ->
+      Alcotest.(check bool) (label ^ ": same run as uninterrupted") true
+        (engines_equivalent d live);
+      Alcotest.(check bool) (label ^ ": delta on = off") true (engines_equivalent d r))
+    delta rescan
+
 (* --- Semi-naive batch semantics -------------------------------------------- *)
 
 (* [Semantics.behaviour_delta] must walk the exact state sequence of the
@@ -604,31 +723,7 @@ let drive_engine_with_canonical_human program =
   (* Deliberate open cycle in [with_open_rule]; see above. *)
   let engine = Engine.load ~lint:`Off program in
   ignore (Engine.run engine ~max_steps:20_000);
-  let rec answer rounds =
-    if rounds > 500 then ()
-    else
-      let pending =
-        List.sort
-          (fun (a : Engine.open_tuple) (b : Engine.open_tuple) ->
-            compare
-              (a.relation, Reldb.Tuple.to_string a.bound)
-              (b.relation, Reldb.Tuple.to_string b.bound))
-          (Engine.pending engine)
-      in
-      match pending with
-      | [] -> ()
-      | o :: _ ->
-          let value = Reldb.Value.Int (Reldb.Tuple.hash o.bound mod 5) in
-          (match
-             Engine.supply engine o.id ~worker:(Reldb.Value.String "human")
-               (List.map (fun a -> (a, value)) o.open_attrs)
-           with
-          | Ok _ -> ()
-          | Error _ -> Engine.decline engine o.id);
-          ignore (Engine.run engine ~max_steps:20_000);
-          answer (rounds + 1)
-  in
-  answer 0;
+  answer_canonically engine;
   engine
 
 let prop_snapshot_replay_is_trace_identical =
@@ -788,4 +883,9 @@ let suite =
           Alcotest.test_case "figure 16 turing: planner on = off" `Quick
             test_turing_planner_differential;
           Alcotest.test_case "figure 16 turing: delta on = off" `Quick
-            test_turing_delta_differential ] ) ]
+            test_turing_delta_differential ]
+      @ [ QCheck_alcotest.to_alcotest prop_delta_equals_rescan_with_host_rows;
+          Alcotest.test_case "add_statement mid-run: delta on = off" `Quick
+            test_add_statement_delta_differential;
+          Alcotest.test_case "fact-heavy restore and recovery: delta on = off" `Quick
+            test_fact_heavy_restore_and_recover ] ) ]
