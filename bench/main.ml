@@ -1806,7 +1806,7 @@ let run_telemetry_smoke () =
       ~workers engine
   in
   Format.printf "  campaign: %d rounds, %d events, %d spans@." outcome.rounds
-    (List.length (Cylog.Engine.events engine))
+    (Cylog.Engine.event_count engine)
     (List.length !spans);
   let failures = ref 0 in
   let check what ok =
@@ -2067,12 +2067,98 @@ let run_serve () =
   Format.printf "  wrote BENCH_serve.json@.";
   List.iter (fun what -> Format.printf "  NOTE: %s@." what) (serve_check runs)
 
+(* A campaign of [rows] x 100 label tasks from [rows] + 100 facts: the
+   cross product keeps set-up cheap, since lint and analysis walk facts
+   while the history grows with the tasks. *)
+let history_source ~rows =
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf "schema:\n  Row(r);\n  Col(c);\n  LabelOf(r, c, label);\nrules:\n";
+  for r = 0 to rows - 1 do
+    Buffer.add_string buf (Printf.sprintf "  Row(r:%d);\n" r)
+  done;
+  for c = 0 to 99 do
+    Buffer.add_string buf (Printf.sprintf "  Col(c:%d);\n" c)
+  done;
+  Buffer.add_string buf "  Q: LabelOf(r, c, label)/open <- Row(r), Col(c);\n";
+  Buffer.contents buf
+
+(* A 1-shard server whose one slot has been driven to [tasks] resolved
+   tasks, with a poll cursor already at the end of its history. *)
+let history_slot ~tasks =
+  let campaign = "history" in
+  let server = Server.create ~shards:1 () in
+  Server.open_campaign server ~name:campaign
+    (Cylog.Parser.parse_exn (history_source ~rows:(tasks / 100)));
+  let cursor = Server.poll_cursor server ~campaign in
+  (match Server.Shard.engine (Server.shard server 0) ~campaign with
+  | None -> ()
+  | Some e ->
+      List.iter
+        (fun (ot : Cylog.Engine.open_tuple) ->
+          ignore
+            (Server.supply server ~campaign { Server.shard = 0; local = ot.id }
+               ~worker:(Reldb.Value.String "w1")
+               [ ("label", Reldb.Value.String "x") ]))
+        (Cylog.Engine.pending e));
+  let resolved = List.length (Server.resolve_poll server ~campaign cursor) in
+  (server, campaign, cursor, resolved)
+
+(* The history-length gate: polls that find no new events, pending counts
+   and leases on the drained campaign must cost about the same on a slot
+   with 10^4 resolved tasks as on one with 10^3. Each figure is the best of
+   5 trials; the two slots take turns, so a slow phase of the host hits
+   both. Returns the failures. *)
+let serve_history_gate () =
+  let failures = ref [] in
+  let fail fmt = Format.kasprintf (fun s -> failures := !failures @ [ s ]) fmt in
+  let slots = List.map (fun tasks -> (tasks, history_slot ~tasks)) [ 1_000; 10_000 ] in
+  List.iter
+    (fun (tasks, (server, _, _, resolved)) ->
+      let pending = Server.pending_total server in
+      if resolved <> tasks || pending <> 0 then
+        fail "history slot: %d of %d tasks resolved, %d pending" resolved tasks pending)
+    slots;
+  let requests =
+    [ ( "10^4 resolve_poll",
+        10_000,
+        fun (server, campaign, cursor, _) ->
+          ignore (Server.resolve_poll server ~campaign cursor) );
+      ("10^3 pending_total", 1_000, fun (server, _, _, _) -> ignore (Server.pending_total server));
+      ( "10^3 lease",
+        1_000,
+        fun (server, campaign, _, _) ->
+          ignore (Server.lease server ~campaign ~worker:(Reldb.Value.String "w1") ~now:0) ) ]
+  in
+  List.iter
+    (fun (what, calls, request) ->
+      let best = Array.make (List.length slots) infinity in
+      for _ = 1 to 5 do
+        List.iteri
+          (fun i (_, slot) ->
+            let (), dt =
+              time (fun () ->
+                  for _ = 1 to calls do
+                    request slot
+                  done)
+            in
+            best.(i) <- min best.(i) dt)
+          slots
+      done;
+      let ratio = best.(1) /. best.(0) in
+      Format.printf "  %s: %.2f ms at 10^3 resolved tasks, %.2f ms at 10^4 (%.2fx)@." what
+        (best.(0) *. 1e3) (best.(1) *. 1e3) ratio;
+      if ratio > 2.0 then
+        fail "%s: %.2fx slower at 10^4 resolved tasks than at 10^3 (gate 2x)" what ratio)
+    requests;
+  !failures
+
 (* The serve regression gate, wired into [dune runtest] via the
    [serve-smoke] alias: a small fixed-seed fleet on in-memory storage
    must route every partitioned fact to its hash-owned shard, finish the
    campaigns with exact quorum arithmetic, merge a sane fleet monitor,
    and recover every shard's slot from its compacted journal to a
-   byte-identical trace with O(live state) replay. *)
+   byte-identical trace with O(live state) replay. A history-length gate
+   then holds polls, pending counts and leases to the live state. *)
 let run_serve_smoke () =
   section "Serve smoke: routing, merged monitor and recovery on a seeded fleet";
   let failures = ref [] in
@@ -2168,11 +2254,13 @@ let run_serve_smoke () =
                  only should remain)"
                 s stats.Cylog.Engine.records_replayed)
   done;
+  List.iter (fun what -> fail "%s" what) (serve_history_gate ());
   match !failures with
   | [] ->
       Format.printf
         "  ok: facts routed by hash, campaigns completed, fleet view merged, \
-         every shard recovered byte-identically@."
+         every shard recovered byte-identically, request cost independent of \
+         history@."
   | failures ->
       List.iter (fun what -> Format.printf "  FAIL: %s@." what) failures;
       exit 1

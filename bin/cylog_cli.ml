@@ -216,7 +216,7 @@ let resume_cmd interactive max_steps checkpoint metrics_out trace_out path =
             exit 1)
   in
   Format.printf "restored %s (clock %d, %d events)@." path (Cylog.Engine.clock engine)
-    (List.length (Cylog.Engine.events engine));
+    (Cylog.Engine.event_count engine);
   with_telemetry_outputs metrics_out trace_out engine (fun () ->
       drive_engine interactive max_steps checkpoint engine)
 
@@ -239,7 +239,7 @@ let recover_cmd interactive max_steps checkpoint metrics_out trace_out dir =
     dir stats.base_segment stats.segments_scanned stats.records_replayed
     stats.truncated_bytes
     (Cylog.Engine.clock engine)
-    (List.length (Cylog.Engine.events engine));
+    (Cylog.Engine.event_count engine);
   with_telemetry_outputs metrics_out trace_out engine (fun () ->
       drive_engine interactive max_steps checkpoint engine);
   finish_journal engine

@@ -247,10 +247,12 @@ type t = {
          awake, whenever [infos] is — derived state, never serialised *)
   fired : (string, unit) Hashtbl.t;
   open_tbl : (open_id, open_tuple) Hashtbl.t;
-  mutable open_order : open_id list;  (* reverse creation order *)
+  open_ids : open_id Reldb.Dynarray.t;
+      (* ascending (= creation order): every pending id, plus ids resolved
+         since the last prune (see [prune_open_ids]) *)
   mutable next_open : open_id;
   mutable clock : int;
-  mutable events : event list;  (* reverse chronological *)
+  events : event Reldb.Dynarray.t;  (* chronological *)
   path_rels : (string, string list) Hashtbl.t;  (* path relation -> params *)
   views : Ast.view list;
   program : Ast.program;  (* as loaded, for snapshots *)
@@ -303,7 +305,10 @@ type state_payload = {
   st_db : Reldb.Database.t;
   st_fired : (string, unit) Hashtbl.t;
   st_open_tbl : (open_id, open_tuple) Hashtbl.t;
-  st_open_order : open_id list;  (* reverse creation order, as stored *)
+  st_open_order : open_id list;
+      (* the pending ids, newest first; restore rebuilds the index from
+         [st_open_tbl], so older payloads that also list resolved ids
+         restore the same *)
   st_next_open : open_id;
   st_clock : int;
   st_events : event list;  (* chronological *)
@@ -327,10 +332,13 @@ let state_string t =
       st_db = t.db;
       st_fired = t.fired;
       st_open_tbl = t.open_tbl;
-      st_open_order = t.open_order;
+      st_open_order =
+        Reldb.Dynarray.fold_left
+          (fun acc id -> if Hashtbl.mem t.open_tbl id then id :: acc else acc)
+          [] t.open_ids;
       st_next_open = t.next_open;
       st_clock = t.clock;
-      st_events = List.rev t.events;
+      st_events = Reldb.Dynarray.to_list t.events;
       st_leases = t.leases;
       st_quorum = Option.map (fun qs -> (qs.qs_policy, qs.qs_relations)) t.quorum;
       st_reputation = t.reputation;
@@ -587,10 +595,10 @@ let load ?builtins ?(use_delta = true) ?(use_planner = true) ?(lint = `Strict)
     schedule = schedule_of db infos;
     fired = Hashtbl.create 1024;
     open_tbl = Hashtbl.create 64;
-    open_order = [];
+    open_ids = Reldb.Dynarray.create ();
     next_open = 1;
     clock = 0;
-    events = [];
+    events = Reldb.Dynarray.create ();
     path_rels;
     views = program.views;
     program;
@@ -669,22 +677,18 @@ let add_statement t (s : Ast.statement) =
 
 let builtins t = t.builtins
 let clock t = t.clock
-let events t = List.rev t.events
-let event_count t = List.length t.events
+let events t = Reldb.Dynarray.to_list t.events
+let event_count t = Reldb.Dynarray.length t.events
 
-(* [t.events] is newest-first: the events after cursor [after] are its
-   first [length - after] elements, re-reversed to chronological order —
-   the campaign server's resolve-poll cursor walks the log this way
-   without rescanning the prefix it has already consumed. *)
+(* The events after cursor [after] are the log's slots from [after] on —
+   the campaign server's resolve-poll cursor reads them without touching
+   the prefix it has already consumed. *)
 let events_since t ~after =
-  let n = List.length t.events - after in
-  if n <= 0 then []
-  else
-    let rec take k acc = function
-      | e :: rest when k > 0 -> take (k - 1) (e :: acc) rest
-      | _ -> acc
-    in
-    take n [] t.events
+  let rec collect events first i acc =
+    if i < first then acc
+    else collect events first (i - 1) (Reldb.Dynarray.get events i :: acc)
+  in
+  collect t.events (max 0 after) (Reldb.Dynarray.length t.events - 1) []
 
 (* --- Telemetry --------------------------------------------------------------- *)
 
@@ -1024,7 +1028,7 @@ let create_open t idx (info : stmt_info) env (atom : Ast.atom) worker_expr bound
     }
   in
   Hashtbl.replace t.open_tbl id open_tuple;
-  t.open_order <- id :: t.open_order;
+  ignore (Reldb.Dynarray.push t.open_ids id);
   Telemetry.Metrics.set_gauge (Telemetry.metrics t.tel) "open.pending"
     (Hashtbl.length t.open_tbl);
   if Telemetry.tracing t.tel then begin
@@ -1129,7 +1133,7 @@ let analysis_check t =
 (* --- Stepping ------------------------------------------------------------- *)
 
 let record_event t event =
-  t.events <- event :: t.events;
+  ignore (Reldb.Dynarray.push t.events event);
   let m = Telemetry.metrics t.tel in
   (* Guarded here (not only inside [incr]) so the disabled path never
      allocates the per-rule / per-worker key strings — the monitor's
@@ -1486,34 +1490,74 @@ let run ?(max_steps = 1_000_000) t =
 
 (* --- Open tuples ------------------------------------------------------------ *)
 
-let pending t =
-  List.rev_map (fun id -> Hashtbl.find_opt t.open_tbl id) t.open_order
-  |> List.filter_map Fun.id
+(* The slot of [t.open_ids] holding the oldest id above [after]. *)
+let first_open_after t after =
+  let rec search ids after lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if Reldb.Dynarray.get ids mid > after then search ids after lo mid
+      else search ids after (mid + 1) hi
+  in
+  search t.open_ids after 0 (Reldb.Dynarray.length t.open_ids)
 
-let pending_for t worker =
-  List.filter
-    (fun o -> match o.asked with None -> true | Some w -> Reldb.Value.equal w worker)
-    (pending t)
+(* The pending tasks listed in [t.open_ids] from slot [first] on. *)
+let pending_from t first =
+  let rec collect t first i acc =
+    if i < first then acc
+    else
+      collect t first (i - 1)
+        (match Hashtbl.find_opt t.open_tbl (Reldb.Dynarray.get t.open_ids i) with
+        | Some o -> o :: acc
+        | None -> acc)
+  in
+  collect t first (Reldb.Dynarray.length t.open_ids - 1) []
+
+let pending t = pending_from t 0
+let pending_since t ~after = pending_from t (first_open_after t after)
+let pending_count t = Hashtbl.length t.open_tbl
+
+(* Each element is sought afresh from the previous one's id, so the walk
+   stays exact when its consumer creates or resolves tasks on the way. *)
+let pending_seq t =
+  let rec from after () =
+    let rec next i =
+      if i >= Reldb.Dynarray.length t.open_ids then Seq.Nil
+      else
+        match Hashtbl.find_opt t.open_tbl (Reldb.Dynarray.get t.open_ids i) with
+        | Some o -> Seq.Cons (o, from o.id)
+        | None -> next (i + 1)
+    in
+    next (first_open_after t after)
+  in
+  from 0
+
+(* Called after a task leaves [t.open_tbl]: once resolved ids outnumber
+   pending ones, squeeze them out of the index in place. Each prune costs
+   less than twice the removals since the last one, and the index never
+   holds more than twice the pending pool. *)
+let prune_open_ids t =
+  let live = Hashtbl.length t.open_tbl in
+  if Reldb.Dynarray.length t.open_ids - live > live then begin
+    let kept = ref 0 in
+    Reldb.Dynarray.iter
+      (fun id ->
+        if Hashtbl.mem t.open_tbl id then begin
+          Reldb.Dynarray.set t.open_ids !kept id;
+          incr kept
+        end)
+      t.open_ids;
+    Reldb.Dynarray.truncate t.open_ids !kept
+  end
 
 let task_view t (o : open_tuple) =
   Views.render_open t.views ~relation:o.relation ~bound:o.bound ~open_attrs:o.open_attrs
-
-let pending_since t ~after =
-  (* open_order is in reverse creation order with strictly decreasing ids,
-     so the new opens form a prefix. *)
-  let rec take acc = function
-    | id :: rest when id > after -> (
-        match Hashtbl.find_opt t.open_tbl id with
-        | Some o -> take (o :: acc) rest
-        | None -> take acc rest)
-    | _ -> acc
-  in
-  take [] t.open_order
 
 let find_open t id = Hashtbl.find_opt t.open_tbl id
 
 let resolve t id =
   Hashtbl.remove t.open_tbl id;
+  prune_open_ids t;
   Hashtbl.remove t.votes id;
   Hashtbl.remove t.task_spans id;
   Telemetry.Metrics.set_gauge (Telemetry.metrics t.tel) "open.pending"
@@ -1701,6 +1745,7 @@ let dead_letters t = List.rev t.dead
 let dead_letter t (o : open_tuple) reason =
   let parent = task_parent t o.id in
   Hashtbl.remove t.open_tbl o.id;
+  prune_open_ids t;
   Hashtbl.remove t.votes o.id;
   Hashtbl.remove t.task_spans o.id;
   Telemetry.Metrics.set_gauge (Telemetry.metrics t.tel) "open.pending"
@@ -2695,10 +2740,12 @@ let restore_state ?builtins ?aggregate (p : state_payload) =
     schedule = schedule_of p.st_db infos;
     fired = p.st_fired;
     open_tbl = p.st_open_tbl;
-    open_order = p.st_open_order;
+    open_ids =
+      Reldb.Dynarray.of_list
+        (List.sort Int.compare (Hashtbl.fold (fun id _ acc -> id :: acc) p.st_open_tbl []));
     next_open = p.st_next_open;
     clock = p.st_clock;
-    events = List.rev p.st_events;
+    events = Reldb.Dynarray.of_list p.st_events;
     path_rels;
     views = p.st_program.views;
     program = p.st_program;

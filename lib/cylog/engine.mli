@@ -247,16 +247,23 @@ val run : ?max_steps:int -> t -> int * [ `Quiescent | `Capped ]
     distinction cannot tell a finished campaign from a truncated one. *)
 
 val pending : t -> open_tuple list
-(** Unresolved open tuples, oldest first. *)
-
-val pending_for : t -> Reldb.Value.t -> open_tuple list
-(** Pending open tuples a given worker may answer (designated for them or
-    undesignated). *)
+(** Unresolved open tuples, oldest first. O(pending), whatever the number
+    of tasks resolved before. *)
 
 val pending_since : t -> after:open_id -> open_tuple list
 (** Pending open tuples with id strictly greater than [after], ascending —
     lets a polling client ingest new work incrementally instead of
-    rescanning the whole pool. *)
+    rescanning the whole pool. O(log pending + new). *)
+
+val pending_count : t -> int
+(** [List.length (pending t)], in O(1). *)
+
+val pending_seq : t -> open_tuple Seq.t
+(** {!pending}, read lazily: a consumer that stops at the first task it
+    wants pays O(log pending) per task it looks at. Each element is the
+    oldest task pending at the time it is read with an id above the
+    previous element's, so creating or resolving tasks mid-walk is
+    safe. *)
 
 val find_open : t -> open_id -> open_tuple option
 (** Look up a pending open tuple. *)
@@ -388,16 +395,17 @@ val payoff_of : t -> Reldb.Value.t -> Reldb.Value.t
 (** One player's payoff; [Int 0] if they never received any. *)
 
 val events : t -> event list
-(** All events, chronological. *)
+(** All events, chronological: a fresh O(events) copy of the log. *)
 
 val event_count : t -> int
-(** Number of events recorded so far — the cursor coordinate of
+(** Number of events recorded so far, in O(1) — the cursor coordinate of
     {!events_since}. *)
 
 val events_since : t -> after:int -> event list
 (** The events with index [>= after] (0-based, chronological) — an
     incremental read of the log for polling consumers (the campaign
-    server's [resolve_poll]); [events_since t ~after:0 = events t]. *)
+    server's [resolve_poll]); [events_since t ~after:0 = events t].
+    O(events returned), whatever the length of the log before [after]. *)
 
 (** {1 Telemetry}
 

@@ -71,3 +71,11 @@ let of_list l =
 let clear a =
   a.data <- [||];
   a.len <- 0
+
+let truncate a n =
+  if n <= 0 then clear a
+  else if n < a.len then begin
+    (* overwrite the dropped slots so they keep nothing reachable *)
+    Array.fill a.data n (a.len - n) a.data.(0);
+    a.len <- n
+  end

@@ -2,10 +2,10 @@
 
     OCaml 5.1's standard library does not yet ship [Dynarray] (it arrived in
     5.2), so the relational substrate carries its own minimal implementation.
-    Elements keep their insertion index for the whole lifetime of the array;
-    removal is expressed by the client storing an explicit liveness flag, not
-    by shifting, because CyLog's conflict resolution ranks tuples by the row
-    at which they first appeared. *)
+    Elements keep their insertion index until a {!truncate}; relations never
+    truncate, and express removal by storing an explicit liveness flag
+    instead of shifting, because CyLog's conflict resolution ranks tuples by
+    the row at which they first appeared. *)
 
 type 'a t
 
@@ -49,3 +49,7 @@ val of_list : 'a list -> 'a t
 
 val clear : 'a t -> unit
 (** Remove all elements. *)
+
+val truncate : 'a t -> int -> unit
+(** [truncate a n] keeps the first [n] elements and drops the rest; nothing
+    happens if [n >= length a]. *)

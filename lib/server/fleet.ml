@@ -215,9 +215,7 @@ let gather ~total_shards inputs =
           acc + Telemetry.Metrics.counter s.s_metrics "shard.requests")
         0 inputs;
     pending =
-      List.fold_left
-        (fun acc e -> acc + List.length (Engine.pending e))
-        0 engines;
+      List.fold_left (fun acc e -> acc + Engine.pending_count e) 0 engines;
     p50_ns = percentile latencies 0.50;
     p95_ns = percentile latencies 0.95;
     p99_ns = percentile latencies 0.99;

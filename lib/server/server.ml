@@ -135,10 +135,10 @@ let sample t ~campaign ~round =
     (fun i _ ->
       match request t i ~campaign (Shard.Sample { round }) with
       | Shard.Sampled fs ->
-          firings := !firings @ List.map (fun f -> (i, f)) fs
+          List.iter (fun f -> firings := (i, f) :: !firings) fs
       | _ -> ())
     t.pool;
-  !firings
+  List.rev !firings
 
 type cursor = { c_campaign : string; pos : int array }
 
@@ -161,8 +161,9 @@ type resolution =
 (* Resolution recognition, mirroring the monitor's lifecycle fold:
    [Resolved id] retires a non-quorum task; a [Vote_recorded] riding with
    any other effect is a quorum resolution (a lone vote just banks);
-   [Dead_lettered] is the failure exit. *)
-let resolutions_of_event s (ev : Engine.event) =
+   [Dead_lettered] is the failure exit. The event's resolutions are pushed
+   onto [acc], so [acc] holds them newest first. *)
+let push_resolutions s (ev : Engine.event) acc =
   let vote =
     List.find_map
       (function Engine.Vote_recorded (id, _) -> Some id | _ -> None)
@@ -172,25 +173,25 @@ let resolutions_of_event s (ev : Engine.event) =
     List.exists (function Engine.Vote_recorded _ -> false | _ -> true)
       ev.effects
   in
-  let quorum_resolution =
-    match vote with Some id when rides -> [ Task_resolved { task = { shard = s; local = id }; quorum = true } ] | _ -> []
+  let acc =
+    match vote with
+    | Some id when rides ->
+        Task_resolved { task = { shard = s; local = id }; quorum = true } :: acc
+    | _ -> acc
   in
-  let rest =
-    List.filter_map
-      (function
-        | Engine.Resolved id ->
-            Some (Task_resolved { task = { shard = s; local = id }; quorum = false })
-        | Engine.Dead_lettered (id, reason) ->
-            Some (Task_dead { task = { shard = s; local = id }; reason })
-        | _ -> None)
-      ev.effects
-  in
-  quorum_resolution @ rest
+  List.fold_left
+    (fun acc -> function
+      | Engine.Resolved id ->
+          Task_resolved { task = { shard = s; local = id }; quorum = false } :: acc
+      | Engine.Dead_lettered (id, reason) ->
+          Task_dead { task = { shard = s; local = id }; reason } :: acc
+      | _ -> acc)
+    acc ev.effects
 
 let resolve_poll t ~campaign cursor =
   if cursor.c_campaign <> campaign then
     invalid_arg "resolve_poll: cursor belongs to another campaign";
-  let out = ref [] in
+  let newest_first = ref [] in
   Array.iteri
     (fun i sh ->
       if not (Shard.slot_failed sh ~campaign) then
@@ -199,11 +200,10 @@ let resolve_poll t ~campaign cursor =
         | Some e ->
             let events = Engine.events_since e ~after:cursor.pos.(i) in
             cursor.pos.(i) <- cursor.pos.(i) + List.length events;
-            List.iter
-              (fun ev -> out := !out @ resolutions_of_event i ev)
-              events)
+            newest_first :=
+              List.fold_left (fun acc ev -> push_resolutions i ev acc) !newest_first events)
     t.pool;
-  !out
+  List.rev !newest_first
 
 let pending_total t =
   Array.fold_left (fun acc sh -> acc + Shard.pending_total sh) 0 t.pool

@@ -107,28 +107,25 @@ let post t ~campaign req =
   ticket
 
 (* The lease step: the oldest pending task this worker may take — skipping
-   tasks they already voted on, and (under the lease runtime) tasks whose
-   lease slots are all held. The engine's own capacity rules decide; this
-   loop just walks candidates in age order. *)
+   tasks designated for someone else, tasks they already voted on, and
+   (under the lease runtime) tasks whose lease slots are all held. The
+   engine's own capacity rules decide; this walk just offers candidates in
+   age order and stops at the first grant. *)
 let grant_lease slot ~worker ~now =
   let e = slot.engine in
-  let candidates =
-    List.filter
-      (fun (ot : Engine.open_tuple) ->
-        not (Engine.has_voted e ot.id ~worker))
-      (Engine.pending_for e worker)
-  in
   let leases_on = Engine.lease_config e <> None in
-  let rec pick = function
-    | [] -> No_task
-    | (ot : Engine.open_tuple) :: rest ->
-        if not leases_on then Granted (ot, Engine.task_view e ot)
-        else (
-          match Engine.assign e ot.id ~worker ~now with
-          | Ok _ -> Granted (ot, Engine.task_view e ot)
-          | Error _ -> pick rest)
+  let grant (ot : Engine.open_tuple) =
+    let for_worker =
+      match ot.asked with None -> true | Some w -> Reldb.Value.equal w worker
+    in
+    if
+      for_worker
+      && (not (Engine.has_voted e ot.id ~worker))
+      && ((not leases_on) || Result.is_ok (Engine.assign e ot.id ~worker ~now))
+    then Some (Granted (ot, Engine.task_view e ot))
+    else None
   in
-  pick candidates
+  Option.value (Seq.find_map grant (Engine.pending_seq e)) ~default:No_task
 
 let execute t slot req =
   let m = t.shard_metrics in
@@ -205,7 +202,7 @@ let queue_length t = Queue.length t.mailbox
 let pending_total t =
   Hashtbl.fold
     (fun _ s acc ->
-      if s.crashed then acc else acc + List.length (Engine.pending s.engine))
+      if s.crashed then acc else acc + Engine.pending_count s.engine)
     t.slots 0
 
 let recover_slot t ~campaign ?builtins ?aggregate ?storage () =

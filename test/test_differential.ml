@@ -475,24 +475,34 @@ let test_tweetpecker_delta_differential () =
 (* Faulted and adaptive quorum campaigns: lease churn, declines, banked
    ballots and early stopping all ride on the journal; a delta engine must
    reproduce the rescan engine's campaign byte for byte. *)
-let quorum_campaign_engine ~use_delta ?faults ~seed () =
-  let src =
-    {|rules:
-  Item(id:1); Item(id:2); Item(id:3);
-  Q: LabelOf(id, label)/open <- Item(id);
-|}
-  in
-  let engine = Engine.load ~use_delta (Parser.parse_exn src) in
+let quorum_program items =
+  Parser.parse_exn
+    (Printf.sprintf "rules:\n  %s\n  Q: LabelOf(id, label)/open <- Item(id);\n"
+       (String.concat " " (List.init items (fun i -> Printf.sprintf "Item(id:%d);" (i + 1)))))
+
+(* Four random workers answer random pending tasks, and with probability
+   [decline] decline the task instead. [check] sees the engine at the start
+   of each worker's turn, after each decline and at every stop test: after
+   each reclaim, and after each answer with the machine run it triggers. *)
+let quorum_campaign ?faults ?(lease = Lease.default_config) ?(decline = 0.0)
+    ?(check = ignore) ~seed engine =
   let policy engine ~worker:_ ~rng ~round:_ =
+    check engine;
     match Engine.pending engine with
     | [] -> Crowd.Simulator.Pass
     | pending ->
         let o = List.nth pending (Random.State.int rng (List.length pending)) in
-        let label = [| "cat"; "dog"; "eel" |].(Random.State.int rng 3) in
-        Crowd.Simulator.Answer
-          ( o.Engine.id,
-            [ ("label", Reldb.Value.String label) ],
-            Crowd.Simulator.Enter_value )
+        if decline > 0.0 && Random.State.float rng 1.0 < decline then begin
+          Engine.decline engine o.Engine.id;
+          check engine;
+          Crowd.Simulator.Pass
+        end
+        else
+          let label = [| "cat"; "dog"; "eel" |].(Random.State.int rng 3) in
+          Crowd.Simulator.Answer
+            ( o.Engine.id,
+              [ ("label", Reldb.Value.String label) ],
+              Crowd.Simulator.Enter_value )
   in
   let workers =
     List.map (fun w -> (Reldb.Value.String w, policy)) [ "w1"; "w2"; "w3"; "w4" ]
@@ -503,9 +513,15 @@ let quorum_campaign_engine ~use_delta ?faults ~seed () =
     | None -> workers
   in
   ignore
-    (Crowd.Simulator.run ~seed ~max_rounds:100 ~lease:Lease.default_config ~quorum:2
-       ~stop:(fun e -> Engine.pending e = [])
-       ~workers engine);
+    (Crowd.Simulator.run ~seed ~max_rounds:100 ~lease ~quorum:2
+       ~stop:(fun e ->
+         check e;
+         Engine.pending e = [])
+       ~workers engine)
+
+let quorum_campaign_engine ~use_delta ?faults ~seed () =
+  let engine = Engine.load ~use_delta (quorum_program 3) in
+  quorum_campaign ?faults ~seed engine;
   engine
 
 let adaptive_campaign_engine ~use_delta ~seed () =
@@ -557,6 +573,117 @@ let test_quorum_delta_differential () =
            (adaptive_campaign_engine ~use_delta:true ~seed ())
            (adaptive_campaign_engine ~use_delta:false ~seed ())))
     [ 1; 7 ]
+
+(* --- Pending and event indexes ----------------------------------------- *)
+
+(* [pending_count], [pending_since], [pending_seq] and [events_since] are
+   served from indexes, not derived from [pending] and [events]; each must
+   still agree with its definition over those lists. *)
+let index_failures engine =
+  let failures = ref [] in
+  let expect what ok = if not ok then failures := what :: !failures in
+  let pending = Engine.pending engine in
+  let ids = List.map (fun (o : Engine.open_tuple) -> o.id) pending in
+  expect "pending_count = List.length pending"
+    (Engine.pending_count engine = List.length ids);
+  let rec ascending = function
+    | a :: (b :: _ as rest) -> a < b && ascending rest
+    | _ -> true
+  in
+  expect "pending ids strictly ascend" (ascending ids);
+  expect "pending_seq = pending" (List.of_seq (Engine.pending_seq engine) = pending);
+  let cuts =
+    match ids with
+    | [] -> [ 0 ]
+    | _ -> [ 0; List.nth ids (List.length ids / 2); List.nth ids (List.length ids - 1) ]
+  in
+  List.iter
+    (fun k ->
+      expect
+        (Printf.sprintf "pending_since ~after:%d" k)
+        (List.map (fun (o : Engine.open_tuple) -> o.id) (Engine.pending_since engine ~after:k)
+        = List.filter (fun id -> id > k) ids))
+    cuts;
+  let events = Engine.events engine in
+  let n = Engine.event_count engine in
+  expect "event_count = List.length events" (n = List.length events);
+  List.iter
+    (fun k ->
+      expect
+        (Printf.sprintf "events_since ~after:%d (of %d)" k n)
+        (Engine.events_since engine ~after:k = List.filteri (fun i _ -> i >= k) events))
+    [ 0; n / 2; n; n + 3 ];
+  !failures
+
+let pending_ids engine = List.map (fun (o : Engine.open_tuple) -> o.id) (Engine.pending engine)
+
+(* The quorum campaign under faults, with declines and one-round leases
+   that dead-letter on their first timeout, so tasks leave the pool by
+   every exit. The indexes are checked at every [check] point; at the 60th,
+   an engine restored from a snapshot and one recovered from the compacted
+   journal must hold the live engine's pending ids and events, and pass the
+   same checks. *)
+let test_pending_and_event_indexes () =
+  let exits = Hashtbl.create 4 in
+  List.iter
+    (fun seed ->
+      let engine = Engine.load (quorum_program 12) in
+      let sim = Storage.Sim.create () in
+      let config = { Journal.default_config with compact_every = Some 8 } in
+      Engine.journal_start ~config ~storage:(Storage.Sim.storage sim) engine "j";
+      let calls = ref 0 in
+      let check_indexes what e =
+        match index_failures e with
+        | [] -> ()
+        | f :: _ -> Alcotest.failf "seed %d, call %d, %s: %s" seed !calls what f
+      in
+      let same_as_live what e other =
+        check_indexes what other;
+        Alcotest.(check (list int))
+          (Printf.sprintf "seed %d: %s: same pending ids" seed what)
+          (pending_ids e) (pending_ids other);
+        Alcotest.(check bool)
+          (Printf.sprintf "seed %d: %s: same events" seed what)
+          true
+          (Engine.events e = Engine.events other)
+      in
+      let check e =
+        incr calls;
+        check_indexes "live" e;
+        if !calls = 60 then begin
+          let aggregate = Crowd.Simulator.majority_aggregate in
+          same_as_live "restored from a snapshot" e
+            (Engine.restore_string ~aggregate (Engine.snapshot_string e));
+          let recovered, stats =
+            Engine.recover ~aggregate ~config
+              ~storage:(Storage.Sim.storage (Storage.Sim.copy sim))
+              "j"
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "seed %d: recovery starts from a compaction" seed)
+            true
+            (stats.Engine.base_segment > 0);
+          same_as_live "recovered from the compacted journal" e recovered
+        end
+      in
+      quorum_campaign
+        ~faults:(List.assoc "all" Crowd.Faults.profiles)
+        ~lease:{ Lease.ttl = 1; max_timeouts = 1; backoff_base = 1; max_rejections = 2 }
+        ~decline:0.05 ~check ~seed engine;
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: the check ran mid-campaign" seed)
+        true (!calls > 60);
+      List.iter
+        (fun ((_ : Engine.open_tuple), reason) ->
+          Hashtbl.replace exits (Lease.reason_to_string reason) ())
+        (Engine.dead_letters engine))
+    [ 1; 7; 13 ];
+  List.iter
+    (fun reason ->
+      Alcotest.(check bool)
+        (Printf.sprintf "some task dead-lettered as %s" reason)
+        true (Hashtbl.mem exits reason))
+    [ Lease.reason_to_string Lease.Declined; Lease.reason_to_string Lease.Timed_out ]
 
 (* --- Statement scheduling ------------------------------------------------- *)
 
@@ -888,4 +1015,6 @@ let suite =
           Alcotest.test_case "add_statement mid-run: delta on = off" `Quick
             test_add_statement_delta_differential;
           Alcotest.test_case "fact-heavy restore and recovery: delta on = off" `Quick
-            test_fact_heavy_restore_and_recover ] ) ]
+            test_fact_heavy_restore_and_recover;
+          Alcotest.test_case "pending and event indexes track their lists" `Quick
+            test_pending_and_event_indexes ] ) ]

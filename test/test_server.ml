@@ -210,6 +210,7 @@ let test_kill_and_recover_subset () =
   let recoveries = ref 0 in
   let served_while_down = ref 0 in
   let resolved = ref 0 in
+  let polled = Hashtbl.create items in
   let answer_for (ot : Engine.open_tuple) =
     let id =
       match Reldb.Tuple.get ot.Engine.bound "id" with
@@ -264,7 +265,12 @@ let test_kill_and_recover_subset () =
       workers;
     List.iter
       (function
-        | Server.Task_resolved _ -> incr resolved
+        | Server.Task_resolved { task; _ } ->
+            if Hashtbl.mem polled task then
+              Alcotest.failf "task %d on shard %d polled twice" task.Server.local
+                task.Server.shard;
+            Hashtbl.add polled task ();
+            incr resolved
         | Server.Task_dead _ -> Alcotest.fail "no task should dead-letter here")
       (Server.resolve_poll server ~campaign cursor)
   done;
@@ -274,6 +280,61 @@ let test_kill_and_recover_subset () =
   Alcotest.(check int) "campaign drained despite the crashes" 0
     (Server.pending_total server);
   Alcotest.(check int) "every item resolved through the poll" items !resolved
+
+(* --- Lease order --------------------------------------------------------- *)
+
+(* [lease] grants the oldest pending task the worker may take: once their
+   vote is banked on the oldest task (quorum 2 keeps it pending), the same
+   worker is granted the next-oldest, while a fresh worker still gets the
+   oldest. A drained campaign grants nothing. *)
+let test_lease_order () =
+  let server = Server.create ~shards:1 () in
+  Server.open_campaign server ~name:campaign ~lease:Lease.default_config
+    ~policy:(Engine.Fixed 2)
+    (Fleet_sim.campaign_program ~items:3 ~offset:0);
+  let ids =
+    List.map
+      (fun (o : Engine.open_tuple) -> o.id)
+      (Engine.pending (server_engine server 0 ~campaign))
+  in
+  let lease worker =
+    Option.map
+      (fun ((task : Server.task_ref), (ot : Engine.open_tuple), _) -> (task, ot))
+      (Server.lease server ~campaign ~worker:(Reldb.Value.String worker) ~now:0)
+  in
+  let answer worker ((task : Server.task_ref), (ot : Engine.open_tuple)) =
+    match
+      Server.supply server ~campaign task ~worker:(Reldb.Value.String worker)
+        (List.map (fun attr -> (attr, Reldb.Value.String "same")) ot.open_attrs)
+    with
+    | Server.Accepted _ -> ()
+    | _ -> Alcotest.failf "%s: answer on task %d refused" worker task.Server.local
+  in
+  let granted what worker expected =
+    match lease worker with
+    | Some ((task, _) as grant) ->
+        Alcotest.(check int) what expected task.Server.local;
+        grant
+    | None -> Alcotest.failf "%s: no lease granted" what
+  in
+  Alcotest.(check int) "three tasks pending" 3 (List.length ids);
+  answer "w1" (granted "first lease: the oldest task" "w1" (List.nth ids 0));
+  answer "w1"
+    (granted "after voting on the oldest: the next-oldest" "w1" (List.nth ids 1));
+  answer "w2" (granted "another worker: the oldest still" "w2" (List.nth ids 0));
+  (* Drain: every pending task takes two agreeing votes. *)
+  let rec drain round =
+    if Server.pending_total server > 0 && round < 20 then begin
+      List.iter
+        (fun w -> Option.iter (answer w) (lease w))
+        [ "w1"; "w2"; "w3" ];
+      drain (round + 1)
+    end
+  in
+  drain 0;
+  Alcotest.(check int) "campaign drained" 0 (Server.pending_total server);
+  Alcotest.(check bool) "no lease on a drained campaign" true (lease "w1" = None);
+  Alcotest.(check bool) "not for a newcomer either" true (lease "w9" = None)
 
 let suite =
   [ ( "server.router",
@@ -288,4 +349,7 @@ let suite =
           test_multi_shard_replay ] );
     ( "server.recovery",
       [ Alcotest.test_case "kill and recover a subset of shards mid-campaign" `Quick
-          test_kill_and_recover_subset ] ) ]
+          test_kill_and_recover_subset ] );
+    ( "server.lease",
+      [ Alcotest.test_case "oldest grantable task first, none when drained" `Quick
+          test_lease_order ] ) ]
