@@ -2266,6 +2266,79 @@ let run_serve_smoke () =
       exit 1
 
 (* ------------------------------------------------------------------ *)
+(* Set-up scaling: lint and the budget certificate stay linear         *)
+(* ------------------------------------------------------------------ *)
+
+(* Every fact is a statement, so a TweetPecker program over n tweets has
+   about n statements. The gate, wired into [dune runtest] via the
+   [setup-smoke] alias: the words [Lint.check] and [Analysis.analyze]
+   allocate (a count that repeats exactly) may grow at most 2.5x per
+   doubling of the corpus — linear growth is 2x, quadratic 4x. Sizes run
+   in ascending order and the first failing doubling stops the gate, so
+   a quadratic regression costs seconds, not minutes and gigabytes. Times
+   are the best of 5 and are printed, not gated. *)
+let setup_sizes = [ 1_000; 2_000; 4_000; 8_000 ]
+let setup_growth_gate = 2.5
+
+let setup_program tweets =
+  let variant = Tweetpecker.Programs.VREI in
+  Tweetpecker.Programs.program variant
+    ~corpus:(Tweets.Generator.generate ~seed:7 tweets)
+    ~workers:
+      (List.map
+         (fun (w : Crowd.Worker.profile) -> w.name)
+         (Tweetpecker.Runner.default_workers variant))
+
+(* Minor-heap words allocated by one call, and its best time of 5. *)
+let setup_measure f =
+  let w0 = Gc.minor_words () in
+  ignore (f ());
+  let words = Gc.minor_words () -. w0 in
+  let best = ref infinity in
+  for _ = 1 to 5 do
+    let _, dt = time f in
+    best := min !best dt
+  done;
+  (words, !best)
+
+let run_setup_smoke () =
+  section "Setup smoke: lint and certificate allocation per doubling (VRE/I)";
+  Format.printf "  %7s %10s %14s %9s %14s %9s@." "tweets" "statements" "lint words"
+    "lint ms" "cert words" "cert ms";
+  let rec go prev = function
+    | [] -> []
+    | tweets :: rest ->
+        let program = setup_program tweets in
+        let lint_w, lint_s = setup_measure (fun () -> Cylog.Lint.check program) in
+        let cert_w, cert_s = setup_measure (fun () -> Cylog.Analysis.analyze program) in
+        Format.printf "  %7d %10d %14.0f %9.1f %14.0f %9.1f@." tweets
+          (List.length program.Cylog.Ast.statements)
+          lint_w (lint_s *. 1e3) cert_w (cert_s *. 1e3);
+        let failures =
+          match prev with
+          | None -> []
+          | Some (prev_tweets, prev_lint, prev_cert) ->
+              List.filter_map
+                (fun (what, now, before) ->
+                  let growth = now /. before in
+                  Format.printf "    %s words grew %.2fx from %d to %d tweets@." what growth
+                    prev_tweets tweets;
+                  if growth > setup_growth_gate then
+                    Some
+                      (Printf.sprintf "%s words grew %.2fx from %d to %d tweets (gate %.1fx)"
+                         what growth prev_tweets tweets setup_growth_gate)
+                  else None)
+                [ ("Lint.check", lint_w, prev_lint); ("Analysis.analyze", cert_w, prev_cert) ]
+        in
+        if failures <> [] then failures else go (Some (tweets, lint_w, cert_w)) rest
+  in
+  match go None setup_sizes with
+  | [] -> Format.printf "  setup smoke: OK@."
+  | failures ->
+      List.iter (fun what -> Format.printf "  FAIL: %s@." what) failures;
+      exit 1
+
+(* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -2282,6 +2355,7 @@ let experiments =
     ("durability", run_durability); ("durability-smoke", run_durability_smoke);
     ("monitor", run_monitor); ("monitor-smoke", run_monitor_smoke);
     ("serve", run_serve); ("serve-smoke", run_serve_smoke);
+    ("setup-smoke", run_setup_smoke);
     ("bench", run_bench) ]
 
 let () =

@@ -90,37 +90,7 @@ type certificate = {
   cert_assumptions : string list;
 }
 
-(* -- Game-aspect desugaring (mirrors Engine.effective_statements) -------- *)
-
-let path_relation_name game = "Path@" ^ game
-
-let rewrite_atom game params (atom : Ast.atom) =
-  if not (String.equal atom.Ast.pred "Path") then atom
-  else
-    {
-      Ast.pred = path_relation_name game;
-      args =
-        List.map (fun p -> { Ast.attr = p; bind = Ast.Auto }) params @ atom.Ast.args;
-    }
-
-let rewrite_literal game params (l : Ast.literal) =
-  match l.Ast.lit with
-  | Ast.Pos a -> { l with Ast.lit = Ast.Pos (rewrite_atom game params a) }
-  | Ast.Neg a -> { l with Ast.lit = Ast.Neg (rewrite_atom game params a) }
-  | Ast.Cmp _ | Ast.Call _ -> l
-
-let rewrite_head game params (h : Ast.head) =
-  match h.Ast.head with
-  | Ast.Head_atom { atom; kind } ->
-      { h with Ast.head = Ast.Head_atom { atom = rewrite_atom game params atom; kind } }
-  | Ast.Head_payoff _ -> h
-
-let rewrite_statement game params (s : Ast.statement) =
-  {
-    s with
-    Ast.heads = List.map (rewrite_head game params) s.heads;
-    body = List.map (rewrite_literal game params) s.body;
-  }
+(* -- Game-aspect desugaring (as in Engine.effective_statements) --------- *)
 
 (* Every effective statement with the Skolem parameters implicitly bound
    in it (game rules only; the engine passes them through the Path args). *)
@@ -128,47 +98,11 @@ let effective (p : Ast.program) =
   List.map (fun s -> (s, [])) p.Ast.statements
   @ List.concat_map
       (fun (g : Ast.game_decl) ->
+        let params = g.Ast.game_params in
         List.map
-          (fun s ->
-            (rewrite_statement g.Ast.game_name g.Ast.game_params s, g.Ast.game_params))
+          (fun s -> (Ast.rewrite_game_statement g.Ast.game_name params s, params))
           (g.Ast.path_rules @ g.Ast.payoff_rules))
       p.Ast.games
-
-(* -- Shared traversals (the same binding fixpoint as Lint) ---------------- *)
-
-let atom_vars_bound (a : Ast.atom) =
-  List.concat_map
-    (fun (arg : Ast.arg) ->
-      arg.Ast.attr
-      ::
-      (match arg.Ast.bind with Ast.Auto -> [] | Ast.Bound e -> Ast.expr_vars e))
-    a.Ast.args
-
-let body_bound ~init (body : Ast.literal list) =
-  let bound = ref init in
-  List.iter
-    (fun (l : Ast.literal) ->
-      match l.Ast.lit with
-      | Ast.Pos a -> List.iter (fun v -> bound := S.add v !bound) (atom_vars_bound a)
-      | Ast.Neg _ | Ast.Cmp _ | Ast.Call _ -> ())
-    body;
-  let closed e = List.for_all (fun v -> S.mem v !bound) (Ast.expr_vars e) in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (l : Ast.literal) ->
-        match l.Ast.lit with
-        | Ast.Cmp (Ast.Var v, Ast.Eq, e) when (not (S.mem v !bound)) && closed e ->
-            bound := S.add v !bound;
-            changed := true
-        | Ast.Cmp (e, Ast.Eq, Ast.Var v) when (not (S.mem v !bound)) && closed e ->
-            bound := S.add v !bound;
-            changed := true
-        | _ -> ())
-      body
-  done;
-  !bound
 
 (* Relations a statement inserts tuples into, for cardinality purposes:
    Assert, Open and Update heads (Update inserts when the key is absent);
@@ -259,7 +193,7 @@ let analyze ?(policy = no_policy) ?(live_counts = []) (p : Ast.program) =
   let declared = S.of_list (List.map (fun (d : Ast.schema_decl) -> d.Ast.rel_name) p.Ast.schemas) in
   List.iter
     (fun (g : Ast.game_decl) ->
-      let r = path_relation_name g.Ast.game_name in
+      let r = Ast.path_relation_name g.Ast.game_name in
       if (not (S.mem r declared)) && not (Hashtbl.mem autos r) then
         Hashtbl.add autos r "order")
     p.Ast.games;
@@ -278,7 +212,7 @@ let analyze ?(policy = no_policy) ?(live_counts = []) (p : Ast.program) =
   note "Payoff" "score";
   List.iter
     (fun (g : Ast.game_decl) ->
-      let r = path_relation_name g.Ast.game_name in
+      let r = Ast.path_relation_name g.Ast.game_name in
       List.iter (note r) g.Ast.game_params;
       note r "order";
       note r "date")
@@ -364,7 +298,9 @@ let analyze ?(policy = no_policy) ?(live_counts = []) (p : Ast.program) =
     (fun (r, count) -> Hashtbl.replace cards r (card_join (card_of r) (norm count)))
     live_counts;
   (* Statement machinery shared by the component walk and the task pass. *)
-  let params_of i = S.of_list (snd arr.(i)) in
+  let standing_at i (s : Ast.statement) atom =
+    standing autos (Ast.body_bound ~init:(S.of_list (snd arr.(i))) s.Ast.body) atom
+  in
   let instances (s : Ast.statement) =
     List.fold_left
       (fun acc (l : Ast.literal) ->
@@ -401,8 +337,7 @@ let analyze ?(policy = no_policy) ?(live_counts = []) (p : Ast.program) =
                   bump atom.Ast.pred inst
               | Ast.Head_atom { atom; kind = Ast.Open _ } ->
                   if inst = Zero then ()
-                  else if standing autos (body_bound ~init:(params_of i) s.Ast.body) atom
-                  then bump atom.Ast.pred (Unbounded Standing)
+                  else if standing_at i s atom then bump atom.Ast.pred (Unbounded Standing)
                   else bump atom.Ast.pred inst
               | Ast.Head_atom { kind = Ast.Delete; _ } -> ())
             s.Ast.heads)
@@ -481,8 +416,7 @@ let analyze ?(policy = no_policy) ?(live_counts = []) (p : Ast.program) =
                 | None -> instances s
               in
               let multiplier =
-                if standing autos (body_bound ~init:(params_of i) s.Ast.body) atom
-                then Unbounded Standing
+                if standing_at i s atom then Unbounded Standing
                 else if worker <> None then Finite 1
                 else if policy.votes > 1 && scope_ok atom.Ast.pred then
                   Finite policy.votes

@@ -155,3 +155,70 @@ let statement_is_open s =
       | Head_atom { kind = Open _; _ } -> true
       | Head_atom _ | Head_payoff _ -> false)
     s.heads
+
+(* Variables a positive atom makes available downstream: every attribute
+   name (testing arguments re-expose the attribute variable, see
+   [Eval.match_atom]) plus the variables of bound expressions (alias
+   bindings and list destructuring both bind). *)
+let atom_vars_bound a =
+  List.concat_map
+    (fun arg -> arg.attr :: (match arg.bind with Auto -> [] | Bound e -> expr_vars e))
+    a.args
+
+module Vars = Set.Make (String)
+
+(* Order-insensitive binding fixpoint over a body: positive atoms bind
+   unconditionally; [v = e] (either direction) binds [v] once [e] is
+   closed, mirroring [Eval.check_filter]. Order-insensitivity avoids false
+   positives under planner reordering. *)
+let body_bound ~init body =
+  let bound = ref init in
+  List.iter
+    (fun l ->
+      match l.lit with
+      | Pos a -> List.iter (fun v -> bound := Vars.add v !bound) (atom_vars_bound a)
+      | Neg _ | Cmp _ | Call _ -> ())
+    body;
+  let closed e = List.for_all (fun v -> Vars.mem v !bound) (expr_vars e) in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    List.iter
+      (fun l ->
+        match l.lit with
+        | Cmp (Var v, Eq, e) when (not (Vars.mem v !bound)) && closed e ->
+            bound := Vars.add v !bound;
+            changed := true
+        | Cmp (e, Eq, Var v) when (not (Vars.mem v !bound)) && closed e ->
+            bound := Vars.add v !bound;
+            changed := true
+        | _ -> ())
+      body
+  done;
+  !bound
+
+(* -- Game-aspect desugaring ---------------------------------------------- *)
+
+let path_relation_name game = "Path@" ^ game
+
+let rewrite_game_statement game params s =
+  let atom a =
+    if a.pred <> "Path" then a
+    else
+      {
+        pred = path_relation_name game;
+        args = List.map (fun p -> { attr = p; bind = Auto }) params @ a.args;
+      }
+  in
+  let literal l =
+    match l.lit with
+    | Pos a -> { l with lit = Pos (atom a) }
+    | Neg a -> { l with lit = Neg (atom a) }
+    | Cmp _ | Call _ -> l
+  in
+  let head h =
+    match h.head with
+    | Head_atom { atom = a; kind } -> { h with head = Head_atom { atom = atom a; kind } }
+    | Head_payoff _ -> h
+  in
+  { s with heads = List.map head s.heads; body = List.map literal s.body }

@@ -152,3 +152,27 @@ val statement_is_fact : statement -> bool
 
 val statement_is_open : statement -> bool
 (** True iff some head carries [/open]. *)
+
+val body_bound : init:Set.Make(String).t -> literal list -> Set.Make(String).t
+(** Variables bound once the body has matched, starting from [init]:
+    every attribute and bound-expression variable of a positive atom, then
+    (to a fixpoint, in any order) [v] for each [v = e] or [e = v] whose
+    [e] is closed — the binding rule of evaluation, made
+    order-insensitive so a planner reordering the body raises no false
+    alarm. Shared by {!module:Lint}'s safety checks and
+    {!module:Analysis}'s standing-open test. *)
+
+(** {2 Game-aspect desugaring}
+
+    A game's path rules read and write its own path table, keyed by the
+    game's Skolem parameters. The engine and {!module:Analysis} both
+    evaluate the desugared statements. *)
+
+val path_relation_name : string -> string
+(** The table holding a game's moves: ["Path@" ^ game]. *)
+
+val rewrite_game_statement : string -> string list -> statement -> statement
+(** [rewrite_game_statement game params s] renames every [Path] atom of
+    [s] (head or body, positive or negated) to
+    [path_relation_name game] and prefixes its arguments with the
+    Skolem parameters [params] as bare attributes. *)

@@ -389,47 +389,14 @@ let compact_journal t =
       t.wal_compact_pending <- false;
       Journal.compact j (state_string t)
 
-let path_relation_name game = "Path@" ^ game
-
 (* --- Game-aspect desugaring -------------------------------------------- *)
-
-let rewrite_atom game params (atom : Ast.atom) =
-  if atom.pred <> "Path" then atom
-  else
-    {
-      Ast.pred = path_relation_name game;
-      args = List.map (fun p -> { Ast.attr = p; bind = Ast.Auto }) params @ atom.args;
-    }
-
-let rewrite_literal game params (l : Ast.literal) =
-  match l.Ast.lit with
-  | Ast.Pos a -> { l with Ast.lit = Ast.Pos (rewrite_atom game params a) }
-  | Ast.Neg a -> { l with Ast.lit = Ast.Neg (rewrite_atom game params a) }
-  | Ast.Cmp _ | Ast.Call _ -> l
-
-let rewrite_head game params (h : Ast.head) =
-  match h.Ast.head with
-  | Ast.Head_atom { atom; kind } ->
-      { h with Ast.head = Ast.Head_atom { atom = rewrite_atom game params atom; kind } }
-  | Ast.Head_payoff _ -> h
-
-let rewrite_statement game params (s : Ast.statement) =
-  {
-    s with
-    Ast.heads = List.map (rewrite_head game params) s.heads;
-    body = List.map (rewrite_literal game params) s.body;
-  }
 
 let effective_statements (program : Ast.program) =
   let main = List.map (fun s -> (s, Main)) program.statements in
   let per_game (g : Ast.game_decl) =
-    List.map
-      (fun s -> (rewrite_statement g.game_name g.game_params s, Game_path g.game_name))
-      g.path_rules
-    @ List.map
-        (fun s ->
-          (rewrite_statement g.game_name g.game_params s, Game_payoff g.game_name))
-        g.payoff_rules
+    let rewrite origin s = (Ast.rewrite_game_statement g.game_name g.game_params s, origin) in
+    List.map (rewrite (Game_path g.game_name)) g.path_rules
+    @ List.map (rewrite (Game_payoff g.game_name)) g.payoff_rules
   in
   main @ List.concat_map per_game program.games
 
@@ -579,7 +546,7 @@ let load ?builtins ?(use_delta = true) ?(use_planner = true) ?(lint = `Strict)
   let path_rels = Hashtbl.create 4 in
   List.iter
     (fun (g : Ast.game_decl) ->
-      Hashtbl.replace path_rels (path_relation_name g.game_name) g.game_params)
+      Hashtbl.replace path_rels (Ast.path_relation_name g.game_name) g.game_params)
     program.games;
   let statements = effective_statements program in
   let db = Reldb.Database.create () in
@@ -1101,11 +1068,11 @@ let certificate t =
    the API, so an apparent breach first recomputes with the live database
    sizes joined into the seeds ([live_counts]) and only counts a
    violation if the refreshed bound is still exceeded — amortised, since
-   the refreshed bound is cached and the recompute (which rebuilds the
-   O(n^3) precedence closure) runs only when the cached bound is passed,
-   not per answer. [analysis.*] counters are engine-local, deliberately
-   outside [journal_derived_prefixes]: a recount over events does not
-   re-run the cross-check. *)
+   the refreshed bound is cached and the recompute (a fresh analysis,
+   O(statement atoms + precedence edges)) runs only when the cached bound
+   is passed, not per answer. [analysis.*] counters are engine-local,
+   deliberately outside [journal_derived_prefixes]: a recount over events
+   does not re-run the cross-check. *)
 let analysis_check t =
   if t.use_analysis then
     match (certificate t, t.analysis_cache) with
@@ -1116,8 +1083,7 @@ let analysis_check t =
           Telemetry.Metrics.incr m "analysis.bound.recomputes";
           let live_counts =
             List.map
-              (fun rel ->
-                (Reldb.Relation.name rel, List.length (Reldb.Relation.tuples rel)))
+              (fun rel -> (Reldb.Relation.name rel, Reldb.Relation.cardinal rel))
               (Reldb.Database.relations t.db)
           in
           let c' = compute_certificate ~live_counts t in
@@ -2508,7 +2474,7 @@ let payoff_of t player =
 (* --- Path tables --------------------------------------------------------------- *)
 
 let game_instances t game =
-  let rel_name = path_relation_name game in
+  let rel_name = Ast.path_relation_name game in
   match (Reldb.Database.find t.db rel_name, Hashtbl.find_opt t.path_rels rel_name) with
   | Some rel, Some params ->
       let seen = Hashtbl.create 16 in
@@ -2525,7 +2491,7 @@ let game_instances t game =
   | _ -> []
 
 let path_table t game ~params =
-  let rel_name = path_relation_name game in
+  let rel_name = Ast.path_relation_name game in
   match Reldb.Database.find t.db rel_name with
   | None -> []
   | Some rel ->
@@ -2709,7 +2675,7 @@ let restore_state ?builtins ?aggregate (p : state_payload) =
   let path_rels = Hashtbl.create 4 in
   List.iter
     (fun (g : Ast.game_decl) ->
-      Hashtbl.replace path_rels (path_relation_name g.game_name) g.game_params)
+      Hashtbl.replace path_rels (Ast.path_relation_name g.game_name) g.game_params)
     p.st_program.games;
   let added =
     List.filter_map

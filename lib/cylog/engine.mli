@@ -490,9 +490,6 @@ val path_table : t -> string -> params:(string * Reldb.Value.t) list -> Reldb.Tu
 (** The path table of one game instance, in play order, with the per-
     instance [order] column renumbered from 1 as in Figure 6. *)
 
-val path_relation_name : string -> string
-(** Name of the internal relation backing a game's path tables. *)
-
 (** {1 Checkpoint / replay}
 
     A snapshot is the loaded program plus the journal of every

@@ -89,18 +89,6 @@ let head_writes ?(kinds = [ `Assert; `Open; `Update ]) (s : Ast.statement) =
       | Ast.Head_payoff _ -> None)
     s.Ast.heads
 
-(* Variables a positive atom makes available downstream: every attribute
-   name (testing arguments re-expose the attribute variable, see
-   [Eval.match_atom]) plus the variables of bound expressions (alias
-   bindings and list destructuring both bind). *)
-let atom_vars_bound (a : Ast.atom) =
-  List.concat_map
-    (fun (arg : Ast.arg) ->
-      arg.Ast.attr
-      ::
-      (match arg.Ast.bind with Ast.Auto -> [] | Ast.Bound e -> Ast.expr_vars e))
-    a.Ast.args
-
 (* Variables an atom needs when it only tests (negation): bare attributes
    read the equally-named variable, bound expressions their variables. *)
 let atom_vars_used (a : Ast.atom) =
@@ -111,43 +99,13 @@ let atom_vars_used (a : Ast.atom) =
       | Ast.Bound e -> Ast.expr_vars e)
     a.Ast.args
 
-(* Order-insensitive binding fixpoint over a body: positive atoms bind
-   unconditionally; [v = e] (either direction) binds [v] once [e] is
-   closed, mirroring [Eval.check_filter]. Order-insensitivity avoids false
-   positives under planner reordering. *)
-let body_bound ?(init = S.empty) (body : Ast.literal list) =
-  let bound = ref init in
-  List.iter
-    (fun (l : Ast.literal) ->
-      match l.Ast.lit with
-      | Ast.Pos a -> List.iter (fun v -> bound := S.add v !bound) (atom_vars_bound a)
-      | Ast.Neg _ | Ast.Cmp _ | Ast.Call _ -> ())
-    body;
-  let closed e = List.for_all (fun v -> S.mem v !bound) (Ast.expr_vars e) in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (l : Ast.literal) ->
-        match l.Ast.lit with
-        | Ast.Cmp (Ast.Var v, Ast.Eq, e) when (not (S.mem v !bound)) && closed e ->
-            bound := S.add v !bound;
-            changed := true
-        | Ast.Cmp (e, Ast.Eq, Ast.Var v) when (not (S.mem v !bound)) && closed e ->
-            bound := S.add v !bound;
-            changed := true
-        | _ -> ())
-      body
-  done;
-  !bound
-
 let sorted_unbound bound vars =
   List.sort_uniq String.compare (List.filter (fun v -> not (S.mem v bound)) vars)
 
 (* -- Family 1: safety / range restriction -------------------------------- *)
 
 let check_safety ~params (s : Ast.statement) =
-  let bound = body_bound ~init:params s.Ast.body in
+  let bound = Ast.body_bound ~init:params s.Ast.body in
   let out = ref [] in
   let emit d = out := d :: !out in
   List.iter
@@ -419,8 +377,7 @@ let fireable_rules (p : Ast.program) =
   done;
   (rules, fireable, !populated)
 
-let check_liveness (p : Ast.program) =
-  let rules, fireable, populated = fireable_rules p in
+let check_liveness (p : Ast.program) (rules, fireable, populated) =
   let out = ref [] in
   (* Syntactic mentions, for unused/undefined checks. *)
   let written = ref S.empty and read = ref S.empty in
@@ -515,8 +472,7 @@ let check_liveness (p : Ast.program) =
 
 (* -- Family 5: game aspects ---------------------------------------------- *)
 
-let check_games (p : Ast.program) =
-  let rules, fireable, _ = fireable_rules p in
+let check_games (p : Ast.program) (rules, fireable, _) =
   let rule_fireable (s : Ast.statement) =
     (* Statements are compared physically: [all_rules] preserves them. *)
     let found = ref true in
@@ -650,13 +606,14 @@ let check ?(overrides = []) (p : Ast.program) =
         check_safety ~params s @ check_self_negation s)
       (all_rules p)
   in
+  let live = fireable_rules p in
   let diags =
     safety
     @ check_stratification p.Ast.statements
     @ check_schema_decls p
     @ check_schema_conformance p
-    @ check_liveness p
-    @ check_games p
+    @ check_liveness p live
+    @ check_games p live
     @ check_analysis p
   in
   apply_overrides overrides (List.stable_sort compare_diag diags)

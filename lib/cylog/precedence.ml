@@ -2,9 +2,10 @@ type edge = { src : int; dst : int; via : string; forward : bool }
 
 type t = {
   statements : Ast.statement array;
-  edges : edge list;
-  (* reach.(q) holds the set of vertices i such that q depends on i. *)
-  reach : bool array array;
+  writers : (string, int list) Hashtbl.t;
+      (* relation -> the statements whose heads write it, ascending *)
+  succs : edge list array;  (* succs.(i): the edges leaving i, by (dst, via) *)
+  preds : int list array;  (* preds.(q): the source of each edge entering q *)
 }
 
 let neg_preds body =
@@ -14,75 +15,86 @@ let neg_preds body =
          match l.Ast.lit with Ast.Neg a -> Some a.Ast.pred | _ -> None)
        body)
 
+let update_delete_preds (s : Ast.statement) =
+  List.filter_map
+    (fun (h : Ast.head) ->
+      match h.Ast.head with
+      | Ast.Head_atom { atom; kind = Ast.Update | Ast.Delete } -> Some atom.Ast.pred
+      | Ast.Head_atom _ | Ast.Head_payoff _ -> None)
+    s.Ast.heads
+
+let writers_of writers r = Option.value (Hashtbl.find_opt writers r) ~default:[]
+
 let build statements =
   let stmts = Array.of_list statements in
   let n = Array.length stmts in
-  let writes i = Ast.statement_preds stmts.(i) in
-  let update_delete_preds i =
-    List.filter_map
-      (fun (h : Ast.head) ->
-        match h.Ast.head with
-        | Ast.Head_atom { atom; kind = Ast.Update | Ast.Delete } -> Some atom.Ast.pred
-        | Ast.Head_atom _ | Ast.Head_payoff _ -> None)
-      stmts.(i).Ast.heads
-  in
-  let edges = ref [] in
-  for q = 0 to n - 1 do
-    let body_rels = Ast.body_preds stmts.(q).Ast.body in
-    for i = 0 to n - 1 do
-      if i <> q then begin
-        (* Dataflow through a body read. *)
-        List.iter
-          (fun r ->
-            if List.mem r (writes i) then
-              edges := { src = i; dst = q; via = r; forward = i < q } :: !edges)
-          body_rels;
-        (* An update/delete of R in q consumes earlier writes of R. *)
-        List.iter
-          (fun r ->
-            if i < q && List.mem r (writes i) then
-              edges := { src = i; dst = q; via = r; forward = true } :: !edges)
-          (update_delete_preds q)
-      end
-    done
+  let writers = Hashtbl.create 64 in
+  for i = n - 1 downto 0 do
+    List.iter
+      (fun r -> Hashtbl.replace writers r (i :: writers_of writers r))
+      (Ast.statement_preds stmts.(i))
   done;
-  let edges =
-    List.sort_uniq compare !edges |> List.sort (fun a b -> compare (a.src, a.dst) (b.src, b.dst))
-  in
-  (* Transitive closure by repeated relaxation (graphs here are tiny). *)
-  let reach = Array.make_matrix n n false in
-  List.iter (fun e -> reach.(e.dst).(e.src) <- true) edges;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for q = 0 to n - 1 do
-      for mid = 0 to n - 1 do
-        if reach.(q).(mid) then
-          for i = 0 to n - 1 do
-            if reach.(mid).(i) && not reach.(q).(i) then begin
-              reach.(q).(i) <- true;
-              changed := true
-            end
-          done
-      done
-    done
+  let succs = Array.make n [] and preds = Array.make n [] in
+  (* Statement q consumes relation r when its body reads r (an edge from
+     every other writer) or when it updates or deletes r (an edge from
+     every earlier writer). Edges are prepended to their source's list,
+     so visiting q and then r in descending order leaves each list sorted
+     by (dst, via) without a sort. *)
+  for q = n - 1 downto 0 do
+    let s = stmts.(q) in
+    let reads = Ast.body_preds s.Ast.body and rewrites = update_delete_preds s in
+    List.iter
+      (fun r ->
+        let read = List.mem r reads and rewrite = List.mem r rewrites in
+        List.iter
+          (fun i ->
+            if (read && i <> q) || (rewrite && i < q) then begin
+              succs.(i) <- { src = i; dst = q; via = r; forward = i < q } :: succs.(i);
+              preds.(q) <- i :: preds.(q)
+            end)
+          (writers_of writers r))
+      (List.sort_uniq (fun a b -> String.compare b a) (reads @ rewrites))
   done;
-  { statements = stmts; edges; reach }
+  { statements = stmts; writers; succs; preds }
 
 let size g = Array.length g.statements
 let statement_at g i = g.statements.(i)
-let edges g = g.edges
-let depends_on g q i = q >= 0 && q < size g && i >= 0 && i < size g && g.reach.(q).(i)
+let edges g = Array.fold_right ( @ ) g.succs []
+
+(* [seen.(i)] iff a path of at least one edge runs from [i] into [q]:
+   [q] itself is marked only when it lies on a cycle, since [build]
+   records no self-edges. A depth-first walk over predecessor lists. *)
+let ancestors g q =
+  let seen = Array.make (size g) false in
+  let rec visit = function
+    | [] -> ()
+    | [] :: todo -> visit todo
+    | (i :: rest) :: todo ->
+        if seen.(i) then visit (rest :: todo)
+        else begin
+          seen.(i) <- true;
+          visit (g.preds.(i) :: rest :: todo)
+        end
+  in
+  visit [ g.preds.(q) ];
+  seen
+
+let in_range g i = i >= 0 && i < size g
+let depends_on g q i = in_range g q && in_range g i && (ancestors g q).(i)
 
 let data_complete g q =
-  let n = size g in
-  let rec loop i = i >= n || ((i < q || not (depends_on g q i)) && loop (i + 1)) in
-  q >= 0 && q < n && loop q
+  in_range g q
+  &&
+  let seen = ancestors g q in
+  let rec loop i = i >= size g || ((not seen.(i)) && loop (i + 1)) in
+  loop q
 
 let parallelizable g a b = not (depends_on g a b) && not (depends_on g b a)
 
 let parallel_groups g =
   let n = size g in
+  let ancestors = Array.init n (ancestors g) in
+  let parallelizable a b = not ancestors.(a).(b) && not ancestors.(b).(a) in
   let assigned = Array.make n false in
   let rec build start acc =
     if start >= n then List.rev acc
@@ -93,7 +105,7 @@ let parallel_groups g =
       let group = ref [ start ] in
       assigned.(start) <- true;
       for j = start + 1 to n - 1 do
-        if (not assigned.(j)) && List.for_all (fun i -> parallelizable g i j) !group
+        if (not assigned.(j)) && List.for_all (fun i -> parallelizable i j) !group
         then begin
           group := j :: !group;
           assigned.(j) <- true
@@ -127,10 +139,9 @@ let sccs ?(positive_only = false) g =
            | Ast.Neg _ | Ast.Cmp _ | Ast.Call _ -> false)
          g.statements.(e.dst).Ast.body
   in
-  let succs = Array.make n [] in
-  List.iter
-    (fun e -> if keep e then succs.(e.src) <- e.dst :: succs.(e.src))
-    (List.rev g.edges);
+  let succs =
+    Array.map (List.filter_map (fun e -> if keep e then Some e.dst else None)) g.succs
+  in
   let index = Array.make n (-1) and low = Array.make n 0 in
   let on_stack = Array.make n false in
   let stack = ref [] and next = ref 0 and out = ref [] in
@@ -181,19 +192,20 @@ type violation = {
   cycle : int list;
 }
 
-(* Relations a statement populates through Assert or Open heads. Update
-   and Delete heads are deliberately excluded: updating a relation after a
-   later rule negated it is the paper's fill-if-absent idiom (Figure 16's
-   Fill/Step pair), not a stratification hazard — the negation tests
-   existence, and updates only rewrite tuples already observed. *)
-let assert_writes stmts i =
-  List.filter_map
+(* Whether a statement populates [r] through an Assert or Open head.
+   Update and Delete heads are deliberately excluded: updating a relation
+   after a later rule negated it is the paper's fill-if-absent idiom
+   (Figure 16's Fill/Step pair), not a stratification hazard — the
+   negation tests existence, and updates only rewrite tuples already
+   observed. *)
+let asserts (s : Ast.statement) r =
+  List.exists
     (fun (h : Ast.head) ->
       match h.Ast.head with
       | Ast.Head_atom { atom; kind = Ast.Assert | Ast.Open _ } ->
-          Some atom.Ast.pred
-      | Ast.Head_atom _ | Ast.Head_payoff _ -> None)
-    stmts.(i).Ast.heads
+          String.equal atom.Ast.pred r
+      | Ast.Head_atom _ | Ast.Head_payoff _ -> false)
+    s.Ast.heads
 
 (* Shortest direct-edge path from [src] to [dst], as a vertex list
    [src; ...; dst], when one exists. *)
@@ -211,12 +223,12 @@ let path g ~src ~dst =
       let v = Queue.pop queue in
       List.iter
         (fun e ->
-          if e.src = v && not seen.(e.dst) then begin
+          if not seen.(e.dst) then begin
             seen.(e.dst) <- true;
             prev.(e.dst) <- v;
             if e.dst = dst then found := true else Queue.push e.dst queue
           end)
-        g.edges
+        g.succs.(v)
     done;
     if not !found then None
     else begin
@@ -226,19 +238,17 @@ let path g ~src ~dst =
   end
 
 let negation_violations g =
-  let n = size g in
   List.concat
-    (List.init n (fun q ->
-         let negs = neg_preds g.statements.(q).Ast.body in
+    (List.init (size g) (fun q ->
          List.concat_map
            (fun r ->
              List.filter_map
                (fun i ->
-                 if i <> q && List.mem r (assert_writes g.statements i) then
+                 if i > q && asserts g.statements.(i) r then
                    let cycle =
                      match path g ~src:q ~dst:i with Some p -> p | None -> []
                    in
                    Some { vertex = q; negated = r; writer = i; cycle }
                  else None)
-               (List.init (n - q) (fun k -> q + k)))
-           negs))
+               (writers_of g.writers r))
+           (neg_preds g.statements.(q).Ast.body)))

@@ -7,7 +7,9 @@
 #   - exit codes: 1 iff an open statement is unbounded through a cycle —
 #     standing and statically-dead opens still print their certificate
 #     and exit 0;
-#   - every shipped example program earns a finite total-answer bound.
+#   - every shipped example program earns a finite total-answer bound;
+#   - `cylog graph` (the precedence graph) and `cylog classify` match
+#     their goldens on every shipped example program.
 set -u
 CYLOG="$1"
 status=0
@@ -63,6 +65,12 @@ for f in ../examples/programs/*.cyl; do
     status=1
     ;;
   esac
+done
+
+for f in ../examples/programs/*.cyl; do
+  prog=$(basename "$f" .cyl)
+  check_golden "$prog-graph" "analyze/$prog.graph.expected" "$CYLOG" graph "$f"
+  check_golden "$prog-classify" "analyze/$prog.classify.expected" "$CYLOG" classify "$f"
 done
 
 exit $status

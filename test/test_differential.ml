@@ -985,6 +985,47 @@ let prop_views_split_preserves_rules =
           && List.length p.Ast.views = 1
           && (List.hd p.Ast.views).Ast.view_name = "V")
 
+(* --- Precedence graph against the pairwise reference ----------------------- *)
+
+(* [Precedence.build] takes its edges from a relation index and answers
+   dependence on demand; [Precedence_reference] tests every pair of
+   statements and closes an n×n matrix. Every answer must agree, on
+   programs that mix facts among rules and use negation, /update and
+   /delete. [negate_some] turns the second body atom of every other
+   generated rule into a negated one, so negation meets asserting rules
+   and the witness cycles are not all empty. *)
+let negate_some (program : Ast.program) =
+  let negate k (s : Ast.statement) =
+    match s.Ast.body with
+    | first :: ({ Ast.lit = Ast.Pos a; _ } as l) :: rest when k mod 2 = 0 ->
+        { s with Ast.body = first :: { l with Ast.lit = Ast.Neg a } :: rest }
+    | _ -> s
+  in
+  { program with Ast.statements = List.mapi negate program.Ast.statements }
+
+let same_graph statements =
+  let g = Precedence.build statements and r = Precedence_reference.build statements in
+  let vertices = List.init (Precedence.size g + 2) (fun i -> i - 1) in
+  let for_all_vertices f = List.for_all f vertices in
+  Precedence.size g = Precedence_reference.size r
+  && Precedence.edges g = Precedence_reference.edges r
+  && for_all_vertices (fun q ->
+         Precedence.data_complete g q = Precedence_reference.data_complete r q
+         && for_all_vertices (fun i ->
+                Precedence.depends_on g q i = Precedence_reference.depends_on r q i))
+  && Precedence.stratified g = Precedence_reference.stratified r
+  && Precedence.parallel_groups g = Precedence_reference.parallel_groups r
+  && Precedence.sccs g = Precedence_reference.sccs r
+  && Precedence.sccs ~positive_only:true g = Precedence_reference.sccs ~positive_only:true r
+  && Precedence.negation_violations g = Precedence_reference.negation_violations r
+
+let prop_precedence_equals_reference =
+  QCheck.Test.make ~name:"precedence graph = pairwise reference" ~count:300
+    (QCheck.pair gen_program gen_ud_program) (fun (program, ud_src) ->
+      same_graph program.Ast.statements
+      && same_graph (negate_some program).Ast.statements
+      && same_graph (Parser.parse_exn ud_src).Ast.statements)
+
 let suite =
   [ ( "differential",
       List.map QCheck_alcotest.to_alcotest
@@ -1017,4 +1058,5 @@ let suite =
           Alcotest.test_case "fact-heavy restore and recovery: delta on = off" `Quick
             test_fact_heavy_restore_and_recover;
           Alcotest.test_case "pending and event indexes track their lists" `Quick
-            test_pending_and_event_indexes ] ) ]
+            test_pending_and_event_indexes;
+          QCheck_alcotest.to_alcotest prop_precedence_equals_reference ] ) ]

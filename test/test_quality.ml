@@ -128,17 +128,33 @@ let planted_votes seed =
   in
   (votes, fun it -> Hashtbl.find_opt truth_tbl it)
 
+(* EM maximises its own likelihood, not accuracy. Where the reliable
+   workers agree, an item has two candidate values (the truth and the
+   sloppy workers' shared "spam"), and the one-coin model then scores an
+   accuracy-0 worker like an accuracy-1 worker. So on some datasets its
+   fixpoint is the mirror labelling: s1 and s2 at accuracy 1, r1-r3 at 0,
+   every item "spam". The planted datasets of
+   seeds 6415, 9066, 9708 and 9933 end there, with EM at accuracy 0
+   against plurality's 0.375-0.458. The claim EM supports is the one
+   T-Crowd reports: a gain on average over datasets. Each case draws 30
+   seeds and always adds the four mirror seeds. *)
+let mirror_seeds = [ 6415; 9066; 9708; 9933 ]
+
 let test_em_at_least_majority_qcheck =
-  QCheck.Test.make ~name:"EM >= majority on planted truth" ~count:30
-    QCheck.(int_bound 9999)
-    (fun seed ->
-      let votes, truth = planted_votes seed in
-      let em = Quality.Aggregate.em votes in
-      let em_acc = Quality.Aggregate.accuracy_against ~truth em.consensus in
-      let maj_acc =
-        Quality.Aggregate.accuracy_against ~truth (Quality.Aggregate.majority votes)
-      in
-      em_acc +. 1e-9 >= maj_acc)
+  QCheck.Test.make ~name:"EM >= majority on planted truth" ~count:10
+    QCheck.(list_of_size (Gen.return 30) (int_bound 9999))
+    (fun seeds ->
+      let em_total = ref 0.0 and maj_total = ref 0.0 in
+      List.iter
+        (fun seed ->
+          let votes, truth = planted_votes seed in
+          let em = Quality.Aggregate.em votes in
+          em_total := !em_total +. Quality.Aggregate.accuracy_against ~truth em.consensus;
+          maj_total :=
+            !maj_total
+            +. Quality.Aggregate.accuracy_against ~truth (Quality.Aggregate.majority votes))
+        (seeds @ mirror_seeds);
+      !em_total +. 1e-9 >= !maj_total)
 
 let test_em_strictly_beats_outvoted_majority () =
   (* 20 clean items teach EM who is reliable; on 4 disputed items the two
