@@ -5,7 +5,7 @@
     module turns any {!Simulator.policy} into an unreliable one by
     composing seeded fault behaviours over it, so robustness tests can
     drive the lease/quorum runtime ({!Cylog.Lease},
-    {!Cylog.Engine.set_quorum}) through every failure mode with
+    {!Cylog.Engine.set_quorum_policy}) through every failure mode with
     reproducible randomness: the same [seed] replays the same faults. *)
 
 type fault =

@@ -112,8 +112,8 @@ let install_quorum ?policy ?quorum engine =
   | Some p, _ ->
       Cylog.Engine.set_quorum_policy engine ~aggregate:majority_aggregate p
   | None, Some k ->
-      Cylog.Engine.set_quorum engine
-        (Some { Cylog.Engine.k; relations = None; aggregate = majority_aggregate })
+      Cylog.Engine.set_quorum_policy engine ~aggregate:majority_aggregate
+        (Cylog.Engine.Fixed k)
   | None, None -> ()
 
 (* Round-boundary monitor sampling, shared by both campaign loops: take

@@ -500,22 +500,6 @@ let certificate_to_string c =
   List.iter (fun a -> line "  - %s" a) c.cert_assumptions;
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | ch when Char.code ch < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code ch))
-      | ch -> Buffer.add_char buf ch)
-    s;
-  Buffer.contents buf
-
 let card_json = function
   | Zero -> {|{"kind":"finite","max":0}|}
   | Finite n -> Printf.sprintf {|{"kind":"finite","max":%d}|} n
@@ -529,17 +513,18 @@ let card_json = function
       in
       Printf.sprintf {|{"kind":"unbounded","reason":"%s","cycle":[%s]}|} kind
         (String.concat ","
-           (List.map (fun r -> "\"" ^ json_escape r ^ "\"") cycle))
+           (List.map (fun r -> "\"" ^ Telemetry.json_escape r ^ "\"") cycle))
 
 let certificate_json c =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\"policy\":\"";
-  Buffer.add_string buf (json_escape c.cert_policy);
+  Buffer.add_string buf (Telemetry.json_escape c.cert_policy);
   Buffer.add_string buf "\",\"relations\":{";
   Buffer.add_string buf
     (String.concat ","
        (List.map
-          (fun (r, card) -> Printf.sprintf "\"%s\":%s" (json_escape r) (card_json card))
+          (fun (r, card) ->
+            Printf.sprintf "\"%s\":%s" (Telemetry.json_escape r) (card_json card))
           c.cert_relations));
   Buffer.add_string buf "},\"tasks\":[";
   Buffer.add_string buf
@@ -548,7 +533,7 @@ let certificate_json c =
           (fun t ->
             Printf.sprintf
               {|{"label":"%s","relation":"%s","instances":%s,"per_instance":%s,"answers":%s}|}
-              (json_escape t.tb_label) (json_escape t.tb_relation)
+              (Telemetry.json_escape t.tb_label) (Telemetry.json_escape t.tb_relation)
               (card_json t.tb_instances)
               (card_json t.tb_multiplier)
               (card_json t.tb_answers))
@@ -560,6 +545,6 @@ let certificate_json c =
   Buffer.add_string buf ",\"assumptions\":[";
   Buffer.add_string buf
     (String.concat ","
-       (List.map (fun a -> "\"" ^ json_escape a ^ "\"") c.cert_assumptions));
+       (List.map (fun a -> "\"" ^ Telemetry.json_escape a ^ "\"") c.cert_assumptions));
   Buffer.add_string buf "]}";
   Buffer.contents buf

@@ -88,16 +88,12 @@ let reason_key = function
 
 type aggregate = (string * Reldb.Value.t list) list -> (string * Reldb.Value.t) list
 
-type quorum = { k : int; relations : string list option; aggregate : aggregate }
-
 type quorum_policy =
   | Fixed of int
   | Adaptive of { tau : float; min_votes : int; max_votes : int }
 
-(* The installed policy. [quorum] above stays the {!set_quorum} surface
-   (unchanged since the quorum runtime landed); internally both setters
-   normalise to this record, with [Fixed k] reproducing the historical
-   fixed-redundancy behaviour bit for bit. *)
+(* The policy {!set_quorum_policy} installed; the journal records
+   [(policy, relations)], not the aggregate closure. *)
 type quorum_state = {
   qs_policy : quorum_policy;
   qs_relations : string list option;
@@ -1571,21 +1567,9 @@ let check_policy = function
         runtime_error "adaptive quorum: need 1 <= min_votes <= max_votes, got %d..%d"
           min_votes max_votes
 
-let set_quorum t q =
-  install_quorum t
-    (Option.map (fun q -> (Fixed q.k, q.relations)) q)
-    ~aggregate:(match q with Some q -> q.aggregate | None -> default_aggregate)
-
 let set_quorum_policy t ?relations ?(aggregate = default_aggregate) policy =
   check_policy policy;
   install_quorum t (Some (policy, relations)) ~aggregate
-
-let quorum_of t =
-  Option.map
-    (fun qs ->
-      { k = policy_cap qs.qs_policy; relations = qs.qs_relations;
-        aggregate = qs.qs_aggregate })
-    t.quorum
 
 let quorum_policy_of t = Option.map (fun qs -> qs.qs_policy) t.quorum
 

@@ -56,7 +56,7 @@ type effect = Event.effect =
   | Open_created of open_id
   | No_effect  (** e.g. duplicate insertion *)
   | Vote_recorded of open_id * int
-      (** a quorum task banked its [n]-th answer (see {!set_quorum}) *)
+      (** a quorum task banked its [n]-th answer (see {!set_quorum_policy}) *)
   | Dead_lettered of open_id * Lease.reason
       (** the task left the pending pool unanswered (see {!dead_letters}) *)
   | Adaptive_resolved of { open_id : open_id; posterior_pct : int; escalated : bool }
@@ -114,17 +114,10 @@ type aggregate = (string * Reldb.Value.t list) list -> (string * Reldb.Value.t) 
 (** Aggregation policy for quorum tasks: per open attribute, the votes in
     arrival order; returns the chosen value per attribute. *)
 
-type quorum = {
-  k : int;  (** answers collected before resolving; [k > 1] to take effect *)
-  relations : string list option;  (** limit to these relations; [None] = all *)
-  aggregate : aggregate;
-}
-
 (** How a quorum task decides it has heard enough:
 
-    - [Fixed k] — the historical policy: resolve on exactly [k] answers
-      through the aggregate. {!set_quorum} installs this; behaviour is
-      unchanged from before adaptive policies existed.
+    - [Fixed k] — resolve on exactly [k] answers through the aggregate
+      ([k > 1] to take effect).
     - [Adaptive _] — confidence-based stopping: after each answer
       (from [min_votes] on) the banked votes are weighed by each voter's
       estimated reliability ([Quality.Model], learnt online from agreement
@@ -284,10 +277,11 @@ val supply : t -> open_id -> worker:Reldb.Value.t ->
     machine, never asked. A {!field-repeatable} open tuple stays pending;
     others resolve.
 
-    Under a quorum policy ({!set_quorum}) an eligible task banks each
-    answer as a vote ([Vote_recorded] effect) and only the [k]-th answer
-    aggregates and inserts. [Wrong_attrs]/[Type_mismatch] rejections count
-    against the task's rejection budget when leases are configured. *)
+    Under a quorum policy ({!set_quorum_policy}) an eligible task banks
+    each answer as a vote ([Vote_recorded] effect) and only the deciding
+    answer aggregates and inserts. [Wrong_attrs]/[Type_mismatch]
+    rejections count against the task's rejection budget when leases are
+    configured. *)
 
 val answer_existence : t -> open_id -> worker:Reldb.Value.t -> bool ->
   (event, reject) result
@@ -304,32 +298,24 @@ val decline : t -> open_id -> unit
 (** {1 Leases, dead letters, quorum}
 
     Off by default — an engine behaves exactly as before until
-    {!set_lease_config}/{!set_quorum} are called. Logical time ([now]) is
-    caller-supplied and monotone: the crowd simulator uses its round
-    number. *)
+    {!set_lease_config}/{!set_quorum_policy} are called. Logical time
+    ([now]) is caller-supplied and monotone: the crowd simulator uses its
+    round number. *)
 
 val set_lease_config : t -> Lease.config option -> unit
 (** Turn the lease runtime on (fresh lease table) or off. *)
 
 val lease_config : t -> Lease.config option
 
-val set_quorum : t -> quorum option -> unit
-(** Install a redundant-assignment policy: eligible tasks (undesignated,
-    non-repeatable, in [relations] if given) resolve through [aggregate]
-    after [k] answers — i.e. the [Fixed k] policy. [None] turns the quorum
-    runtime off. *)
-
 val set_quorum_policy :
   t -> ?relations:string list -> ?aggregate:aggregate -> quorum_policy -> unit
-(** Install a quorum policy directly; [Adaptive _] is only reachable here.
-    [aggregate] (default {!default_aggregate}) resolves [Fixed] tasks and
-    is the escalation fallback of [Adaptive] tasks.
+(** Install a redundant-assignment policy: eligible tasks (undesignated,
+    non-repeatable, in [relations] if given) bank answers as votes until
+    the policy resolves them. [aggregate] (default {!default_aggregate})
+    resolves [Fixed] tasks and is the escalation fallback of [Adaptive]
+    tasks.
     @raise Runtime_error on an ill-formed adaptive config
     (needs [0 < tau <= 1] and [1 <= min_votes <= max_votes]). *)
-
-val quorum_of : t -> quorum option
-(** The installed policy, flattened to the legacy record: [k] is the vote
-    cap ([k] of [Fixed k], [max_votes] of [Adaptive]). *)
 
 val quorum_policy_of : t -> quorum_policy option
 
@@ -495,7 +481,7 @@ val path_table : t -> string -> params:(string * Reldb.Value.t) list -> Reldb.Tu
     A snapshot is the loaded program plus the journal of every
     externally-triggered mutation ([run]/[step]/[supply]/
     [answer_existence]/[decline]/[assign]/[reclaim]/[add_statement]/
-    [set_lease_config]/[set_quorum]/[set_quorum_policy], in order).
+    [set_lease_config]/[set_quorum_policy], in order).
     [restore] replays the
     journal through the public API; because evaluation is deterministic
     the restored engine reproduces the original event trace byte for byte

@@ -631,29 +631,13 @@ let render ?(file = "<input>") d =
   else
     Printf.sprintf "%s: %s: %s %s" file (severity_name d.severity) d.code d.message
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let render_json ?(file = "<input>") diags =
   let one d =
     Printf.sprintf
       "{\"file\":\"%s\",\"code\":\"%s\",\"severity\":\"%s\",\"message\":\"%s\",\"span\":{\"start_line\":%d,\"start_col\":%d,\"end_line\":%d,\"end_col\":%d}}"
-      (json_escape file) (json_escape d.code)
+      (Telemetry.json_escape file) (Telemetry.json_escape d.code)
       (severity_name d.severity)
-      (json_escape d.message) d.span.Ast.start_line d.span.Ast.start_col
+      (Telemetry.json_escape d.message) d.span.Ast.start_line d.span.Ast.start_col
       d.span.Ast.end_line d.span.Ast.end_col
   in
   "[" ^ String.concat "," (List.map one diags) ^ "]"

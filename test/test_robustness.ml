@@ -265,8 +265,7 @@ let test_run_signal () =
 
 let quorum_engine ?(k = 3) src =
   let engine = Engine.load (Parser.parse_exn src) in
-  Engine.set_quorum engine
-    (Some { Engine.k; relations = None; aggregate = Engine.default_aggregate });
+  Engine.set_quorum_policy engine (Engine.Fixed k);
   ignore (Engine.run engine);
   engine
 
@@ -348,8 +347,7 @@ let test_quorum_accuracy_vs_single () =
   let campaign k =
     let engine = Engine.load (Parser.parse_exn source) in
     if k > 1 then
-      Engine.set_quorum engine
-        (Some { Engine.k; relations = None; aggregate = Engine.default_aggregate });
+      Engine.set_quorum_policy engine (Engine.Fixed k);
     ignore (Engine.run engine);
     List.iter
       (fun (o : Engine.open_tuple) ->
