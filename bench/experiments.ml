@@ -64,15 +64,14 @@ let joins_run ?(metrics = true) ~scale ~use_planner () =
   for i = 0 to t - 1 do
     insert engine "Target" [ ("z", (20 * i) + 3) ]
   done;
-  Cylog.Eval.reset_rows_scanned ();
   let steps = ref (fst (Cylog.Engine.run engine)) in
   for i = 0 to n - 1 do
     insert engine "Edge1" [ ("x", i); ("y", i) ];
     insert engine "Edge2" [ ("y", i); ("z", i) ];
     steps := !steps + fst (Cylog.Engine.run engine)
   done;
-  let j_rows_scanned = Cylog.Eval.rows_scanned () in
   let counter = Cylog.Telemetry.Metrics.counter (Cylog.Engine.metrics engine) in
+  let j_rows_scanned = counter "eval.rows_scanned" in
   let j_cache_hits =
     counter "planner.rescan_cache.hits" + counter "planner.delta_cache.hits"
   in
@@ -222,12 +221,11 @@ let incremental_run ?(facts = false) ~preload ~supplies ~semi () =
   let pending = Cylog.Engine.pending engine in
   let total_rows = ref 0 and total_examined = ref 0 in
   let rows_first = ref 0 and rows_last = ref 0 in
-  let examined () =
-    Cylog.Telemetry.Metrics.counter (Cylog.Engine.metrics engine) "eval.statements_examined"
-  in
+  let counter = Cylog.Telemetry.Metrics.counter (Cylog.Engine.metrics engine) in
+  let examined () = counter "eval.statements_examined" in
   List.iteri
     (fun i (o : Cylog.Engine.open_tuple) ->
-      Cylog.Eval.reset_rows_scanned ();
+      let rows0 = counter "eval.rows_scanned" in
       let examined0 = examined () in
       (match
          Cylog.Engine.supply engine o.id ~worker:(Reldb.Value.String "w")
@@ -236,7 +234,7 @@ let incremental_run ?(facts = false) ~preload ~supplies ~semi () =
       | Ok _ -> ()
       | Error e -> failwith (Cylog.Engine.reject_to_string e));
       ignore (Cylog.Engine.run engine);
-      let rows = Cylog.Eval.rows_scanned () in
+      let rows = counter "eval.rows_scanned" - rows0 in
       total_rows := !total_rows + rows;
       total_examined := !total_examined + (examined () - examined0);
       if i = 0 then rows_first := rows;
@@ -416,7 +414,7 @@ type quality_run = {
   q_certificate : json;
 }
 
-let quality_campaign ~label ~seed ~items ?quorum ?policy () =
+let quality_campaign ~label ~seed ~items ~policy =
   let engine = Cylog.Engine.load (Cylog.Parser.parse_exn (quality_src items)) in
   let workers =
     Crowd.Worker.crowd Crowd.Worker.diligent 4 @ [ Crowd.Worker.sloppy "s1" ]
@@ -435,8 +433,7 @@ let quality_campaign ~label ~seed ~items ?quorum ?policy () =
     [ ("label", Reldb.Value.String (quality_truth_of id)) ]
   in
   let outcome =
-    Crowd.Simulator.run_routed ~seed ?quorum ?policy ~truth ~workers:sim_workers
-      engine
+    Crowd.Simulator.run_routed ~seed ~policy ~truth ~workers:sim_workers engine
   in
   let labelled =
     match Reldb.Database.find (Cylog.Engine.database engine) "LabelOf" with
@@ -484,9 +481,9 @@ let pp_quality_run r =
     r.q_answers r.q_early_stopped r.q_escalated r.q_rounds
 
 let quality_runs ~seed ~items =
-  [ quality_campaign ~label:"fixed-k2" ~seed ~items ~quorum:2 ();
-    quality_campaign ~label:"fixed-k3" ~seed ~items ~quorum:3 ();
-    quality_campaign ~label:"adaptive" ~seed ~items ~policy:quality_policy () ]
+  [ quality_campaign ~label:"fixed-k2" ~seed ~items ~policy:(Cylog.Engine.Fixed 2);
+    quality_campaign ~label:"fixed-k3" ~seed ~items ~policy:(Cylog.Engine.Fixed 3);
+    quality_campaign ~label:"adaptive" ~seed ~items ~policy:quality_policy ]
 
 (* Each run installs its own quorum policy, which the certificate
    charges, so each carries its own certificate. *)
@@ -940,7 +937,7 @@ let run_telemetry_smoke () =
   let workers = Crowd.Faults.inject ~seed:5 (List.assoc "drop" Crowd.Faults.profiles) workers in
   let outcome =
     Crowd.Simulator.run ~seed:5 ~max_rounds:200 ~lease:Cylog.Lease.default_config
-      ~quorum:2
+      ~policy:(Cylog.Engine.Fixed 2)
       ~stop:(fun e -> Cylog.Engine.pending e = [] && Cylog.Engine.run e |> snd = `Quiescent)
       ~workers engine
   in

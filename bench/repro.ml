@@ -364,7 +364,6 @@ let run_ablations () =
     (* Machine-only driver: answer every pending open with a fixed value,
        which exercises the engine's join machinery deterministically. The
        work is judged on the rows scanned and statements examined. *)
-    Cylog.Eval.reset_rows_scanned ();
     ignore (Cylog.Engine.run engine);
     let rec loop n =
       if n > 50_000 then ()
@@ -380,10 +379,10 @@ let run_ablations () =
             loop (n + 1)
     in
     loop 0;
+    let counter = Cylog.Telemetry.Metrics.counter (Cylog.Engine.metrics engine) in
     ( Reldb.Database.total_tuples (Cylog.Engine.database engine),
-      Cylog.Eval.rows_scanned (),
-      Cylog.Telemetry.Metrics.counter (Cylog.Engine.metrics engine)
-        "eval.statements_examined" )
+      counter "eval.rows_scanned",
+      counter "eval.statements_examined" )
   in
   let n1, rows_delta, stmts_delta = drive (Cylog.Engine.load ~use_delta:true program) in
   let n2, rows_rescan, stmts_rescan = drive (Cylog.Engine.load ~use_delta:false program) in

@@ -33,9 +33,14 @@ let or_die = function
       exit 1
 
 (* Load under the engine's default Strict lint, rendering diagnostics the
-   same way [cylog check] does when the program is rejected. *)
+   same way [cylog check] does when the program is rejected, and start the
+   durable journal when one is asked for. *)
 let load_or_die ?lint ?journal path program =
-  try Cylog.Engine.load ?lint ?journal program with
+  try
+    let engine = Cylog.Engine.load ?lint program in
+    Option.iter (Cylog.Engine.journal_start engine) journal;
+    engine
+  with
   | Cylog.Lint.Rejected diags ->
       List.iter (fun d -> prerr_endline (Cylog.Lint.render ~file:path d)) diags;
       exit 1

@@ -250,23 +250,24 @@ let run_cmd variant n seed export faults lease quorum adaptive metrics_out trace
           stall_samples = find "stall";
         }
   in
-  let policy =
-    Option.map
-      (fun tau ->
-        Cylog.Engine.Adaptive
-          { tau; min_votes = 2; max_votes = Option.value quorum ~default:5 })
-      adaptive
-  in
   (* --adaptive subsumes --quorum: K becomes the adaptive vote cap. *)
-  let quorum = if policy = None then quorum else None in
+  let policy =
+    match (adaptive, quorum) with
+    | Some tau, _ ->
+        Some
+          (Cylog.Engine.Adaptive
+             { tau; min_votes = 2; max_votes = Option.value quorum ~default:5 })
+    | None, Some k -> Some (Cylog.Engine.Fixed k)
+    | None, None -> None
+  in
   let trace_oc = Option.map open_out trace_out in
   let sink = Option.map Cylog.Telemetry.Sink.jsonl trace_oc in
   let o =
     Fun.protect
       ~finally:(fun () -> Option.iter close_out_noerr trace_oc)
       (fun () ->
-        Tweetpecker.Runner.run ~seed ~corpus:(corpus n) ?faults ?lease ?quorum
-          ?policy ?monitor ?sink ?journal ?storage_faults variant)
+        Tweetpecker.Runner.run ~seed ~corpus:(corpus n) ?faults ?lease ?policy
+          ?monitor ?sink ?journal ?storage_faults variant)
   in
   (match o.sim.stop_reason with
   | `Alert f ->

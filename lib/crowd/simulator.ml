@@ -31,14 +31,6 @@ type outcome = {
   worker_stats : (Reldb.Value.t * worker_stat) list;
 }
 
-(* Quorum aggregation backed by Quality.Aggregate's plurality, so
-   engine-level redundant assignment and the post-hoc analyses agree on
-   tie-breaking. *)
-let majority_aggregate votes =
-  List.filter_map
-    (fun (attr, vs) -> Option.map (fun v -> (attr, v)) (Quality.Aggregate.plurality vs))
-    votes
-
 let shuffle rng xs =
   let arr = Array.of_list xs in
   for i = Array.length arr - 1 downto 1 do
@@ -107,15 +99,6 @@ module Stats = struct
     |> List.sort (fun (a, _) (b, _) -> Reldb.Value.compare a b)
 end
 
-let install_quorum ?policy ?quorum engine =
-  match (policy, quorum) with
-  | Some p, _ ->
-      Cylog.Engine.set_quorum_policy engine ~aggregate:majority_aggregate p
-  | None, Some k ->
-      Cylog.Engine.set_quorum_policy engine ~aggregate:majority_aggregate
-        (Cylog.Engine.Fixed k)
-  | None, None -> ()
-
 (* Round-boundary monitor sampling, shared by both campaign loops: take
    the sample (a journaled event — the series point and any watchdog
    verdicts ride in the event log), then apply the caller's reaction to
@@ -138,12 +121,12 @@ let sample_monitor ~on_alert ~pause_next engine n =
     !stop_f
   end
 
-let run ?(seed = 42) ?(max_rounds = 10_000) ?(progress = fun _ -> 0.0) ?lease ?quorum
+let run ?(seed = 42) ?(max_rounds = 10_000) ?(progress = fun _ -> 0.0) ?lease
     ?policy ?monitor ?(on_alert = fun _ -> `Stop) ~stop ~workers engine =
   (match lease with
   | Some _ -> Cylog.Engine.set_lease_config engine lease
   | None -> ());
-  install_quorum ?policy ?quorum engine;
+  Option.iter (Cylog.Engine.set_quorum_policy engine) policy;
   (match monitor with
   | Some _ -> Cylog.Engine.set_monitor engine monitor
   | None -> ());
@@ -324,13 +307,13 @@ let run ?(seed = 42) ?(max_rounds = 10_000) ?(progress = fun _ -> 0.0) ?lease ?q
    answer with probability [accuracy], else one of two item-specific wrong
    labels — the synthetic crowd of the quality bench and tests.
    Existence questions are out of scope and are never routed. *)
-let run_routed ?(seed = 42) ?(max_rounds = 10_000) ?lease ?quorum ?policy
+let run_routed ?(seed = 42) ?(max_rounds = 10_000) ?lease ?policy
     ?monitor ?(on_alert = fun _ -> `Stop)
     ?(router = Quality.Router.default_config) ~truth ~workers engine =
   (match lease with
   | Some _ -> Cylog.Engine.set_lease_config engine lease
   | None -> ());
-  install_quorum ?policy ?quorum engine;
+  Option.iter (Cylog.Engine.set_quorum_policy engine) policy;
   (match monitor with
   | Some _ -> Cylog.Engine.set_monitor engine monitor
   | None -> ());

@@ -73,14 +73,9 @@ type outcome = {
           never reached the answering step are absent *)
 }
 
-val majority_aggregate : Cylog.Engine.aggregate
-(** Per-attribute plurality over quorum votes via
-    {!Quality.Aggregate.plurality} — installed by [run ~quorum]. *)
-
 val run :
   ?seed:int -> ?max_rounds:int -> ?progress:(Cylog.Engine.t -> float) ->
-  ?lease:Cylog.Lease.config -> ?quorum:int ->
-  ?policy:Cylog.Engine.quorum_policy ->
+  ?lease:Cylog.Lease.config -> ?policy:Cylog.Engine.quorum_policy ->
   ?monitor:Cylog.Monitor.config ->
   ?on_alert:(Cylog.Monitor.firing -> [ `Warn | `Pause | `Stop ]) ->
   stop:(Cylog.Engine.t -> bool) ->
@@ -95,11 +90,10 @@ val run :
     logical time: overdue leases are reclaimed at the start of each round
     and a worker's decision only goes through if {!Cylog.Engine.assign}
     grants (or renews) them a lease first — a refusal counts as a
-    rejection and the attempt is skipped. [quorum] installs redundant
-    assignment: undesignated one-shot tasks resolve by
-    {!majority_aggregate} over [k] answers. [policy] installs any
-    {!Cylog.Engine.quorum_policy} (notably [Adaptive]) with the same
-    aggregate, and wins over [quorum] when both are given.
+    rejection and the attempt is skipped. [policy] installs redundant
+    assignment ({!Cylog.Engine.set_quorum_policy}): under [Fixed k]
+    undesignated one-shot tasks resolve by plurality over [k] answers,
+    under [Adaptive] by confidence.
 
     [monitor] installs the campaign monitor ({!Cylog.Engine.set_monitor})
     before the first round; with or without it, whenever a monitor is
@@ -114,8 +108,7 @@ val run :
 
 val run_routed :
   ?seed:int -> ?max_rounds:int ->
-  ?lease:Cylog.Lease.config -> ?quorum:int ->
-  ?policy:Cylog.Engine.quorum_policy ->
+  ?lease:Cylog.Lease.config -> ?policy:Cylog.Engine.quorum_policy ->
   ?monitor:Cylog.Monitor.config ->
   ?on_alert:(Cylog.Monitor.firing -> [ `Warn | `Pause | `Stop ]) ->
   ?router:Quality.Router.config ->
@@ -134,5 +127,5 @@ val run_routed :
     Existence questions are never routed. Stops when no value questions
     remain pending ([`Stopped]), after five consecutive idle rounds
     ([`Stalled] — e.g. every worker is below the floor), or at
-    [max_rounds]. [lease]/[quorum]/[policy]/[monitor]/[on_alert] behave
+    [max_rounds]. [lease]/[policy]/[monitor]/[on_alert] behave
     as in {!run}. *)

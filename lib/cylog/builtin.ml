@@ -54,9 +54,7 @@ let contains_substring s sub =
   let rec loop i = i + m <= n && (String.sub s i m = sub || loop (i + 1)) in
   m = 0 || loop 0
 
-let empty () : registry = Hashtbl.create 16
 let register reg name f = Hashtbl.replace reg name f
-let names reg = List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) reg [])
 
 let call reg name args =
   match Hashtbl.find_opt reg name with
@@ -64,7 +62,7 @@ let call reg name args =
   | None -> raise (Unknown name)
 
 let default () =
-  let reg = empty () in
+  let reg : registry = Hashtbl.create 16 in
   register reg "matches" (make_matches ());
   register reg "contains"
     (two "contains" (fun a b ->

@@ -22,14 +22,5 @@ val default : unit -> registry
     [min], [max], [mod]. Each call to [default] gets its own regex
     cache. *)
 
-val empty : unit -> registry
-(** Registry with no builtins. *)
-
-val register : registry -> string -> t -> unit
-(** [register reg name f] adds or replaces a builtin. *)
-
-val names : registry -> string list
-(** Registered names, sorted. *)
-
 val call : registry -> string -> Reldb.Value.t list -> Reldb.Value.t
 (** Invoke a builtin. @raise Unknown / Bad_arguments as appropriate. *)

@@ -67,8 +67,6 @@ let reject_to_string = function
       Printf.sprintf "value %s has the wrong type for attribute %s"
         (Reldb.Value.to_string value) attr
 
-let pp_reject ppf r = Format.pp_print_string ppf (reject_to_string r)
-
 (* Stable, space-free identifiers for metric-key suffixes (unlike the
    prose of [reject_to_string]/[Lease.reason_to_string]). *)
 let reject_key = function
@@ -86,46 +84,17 @@ let reason_key = function
 
 (* --- Quorum (redundant assignment + aggregation) --------------------------- *)
 
-type aggregate = (string * Reldb.Value.t list) list -> (string * Reldb.Value.t) list
-
 type quorum_policy =
   | Fixed of int
   | Adaptive of { tau : float; min_votes : int; max_votes : int }
 
-(* The policy {!set_quorum_policy} installed; the journal records
-   [(policy, relations)], not the aggregate closure. *)
+(* The policy {!set_quorum_policy} installed, as the journal records it. *)
 type quorum_state = {
   qs_policy : quorum_policy;
   qs_relations : string list option;
-  qs_aggregate : aggregate;  (* Fixed resolution, and Adaptive fallback *)
 }
 
 let policy_cap = function Fixed k -> k | Adaptive a -> a.max_votes
-
-(* Plurality per attribute, ties toward the earliest-voted value — the
-   built-in fallback when no Quality.Aggregate-backed hook is installed
-   (and the aggregation replayed by {!restore}). *)
-let default_aggregate votes =
-  List.map
-    (fun (attr, vs) ->
-      let counts = ref [] in
-      List.iter
-        (fun v ->
-          match List.assoc_opt v !counts with
-          | Some c -> counts := (v, c + 1) :: List.remove_assoc v !counts
-          | None -> counts := !counts @ [ (v, 1) ])
-        vs;
-      let winner =
-        List.fold_left
-          (fun best (v, c) ->
-            match best with Some (_, bc) when bc >= c -> best | _ -> Some (v, c))
-          None !counts
-      in
-      ( attr,
-        match winner with
-        | Some (v, _) -> v
-        | None -> Reldb.Value.Null ))
-    votes
 
 type vote = Vote_values of (string * Reldb.Value.t) list | Vote_exists of bool
 
@@ -277,7 +246,9 @@ type t = {
       (* a compaction was requested mid-entry; it runs at the start of
          the NEXT journaled entry, when the requesting one is fully
          applied (see [wal_append]) *)
-  use_analysis : bool;  (* budget-certificate cross-check on/off *)
+  rows_scanned : int ref;
+      (* candidate rows the current step has handed to the atom matcher;
+         reset per step and folded into [eval.rows_scanned] *)
   mutable analysis_cache : (Analysis.certificate * int option) option;
       (* the program's certificate under the installed quorum policy and
          its finite total-answer bound (None = not statically finite);
@@ -291,7 +262,7 @@ type t = {
    records: every closure-free field is marshalled directly, so restoring
    from a compacted journal costs O(live state), not O(journal length).
    Closure-bearing state — builtins, statement plans and delta frontiers,
-   the quorum aggregate, telemetry — is rebuilt by [restore_state]. The
+   telemetry — is rebuilt by [restore_state]. The
    fired memo rides along, so the rebuilt delta state re-derives without
    re-firing and the continued trace stays byte-identical. *)
 type state_payload = {
@@ -310,7 +281,6 @@ type state_payload = {
   st_events : event list;  (* chronological *)
   st_leases : Lease.t option;
   st_quorum : (quorum_policy * string list option) option;
-      (* the policy is data; the aggregate closure is resubstituted *)
   st_reputation : Quality.Model.t;
   st_votes : (open_id, (Reldb.Value.t * vote) list) Hashtbl.t;
   st_dead : (open_tuple * Lease.reason) list;
@@ -525,8 +495,8 @@ let make_info ~use_delta ((s : Ast.statement), origin) =
 
 let schedule_of db infos = Schedule.create db (Array.map (fun i -> i.body_rels) infos)
 
-let load ?builtins ?(use_delta = true) ?(use_planner = true) ?(lint = `Strict)
-    ?(analysis = true) ?journal ?journal_config (program : Ast.program) =
+let load ?(use_delta = true) ?(use_planner = true) ?(lint = `Strict)
+    (program : Ast.program) =
   (match lint with
   | `Off -> ()
   | `Strict | `Warn -> (
@@ -538,7 +508,6 @@ let load ?builtins ?(use_delta = true) ?(use_planner = true) ?(lint = `Strict)
             (fun (d : Lint.diagnostic) ->
               Logs.warn (fun m -> m "lint: %s" (Lint.render d)))
             diags));
-  let builtins = match builtins with Some b -> b | None -> Builtin.default () in
   let path_rels = Hashtbl.create 4 in
   List.iter
     (fun (g : Ast.game_decl) ->
@@ -548,10 +517,9 @@ let load ?builtins ?(use_delta = true) ?(use_planner = true) ?(lint = `Strict)
   let db = Reldb.Database.create () in
   declare_relations db program statements path_rels;
   let infos = Array.of_list (List.map (make_info ~use_delta) statements) in
-  let t =
-    {
-      db;
-    builtins;
+  {
+    db;
+    builtins = Builtin.default ();
     use_delta;
     use_planner;
     infos;
@@ -577,14 +545,9 @@ let load ?builtins ?(use_delta = true) ?(use_planner = true) ?(lint = `Strict)
     monitor = None;
     wal = None;
     wal_compact_pending = false;
-    use_analysis = analysis;
+    rows_scanned = ref 0;
     analysis_cache = None;
-    }
-  in
-  (match journal with
-  | Some dir -> journal_start ?config:journal_config t dir
-  | None -> ());
-  t
+  }
 
 let database t = t.db
 let statements t = Array.to_list (Array.map (fun i -> (i.stmt, i.origin)) t.infos)
@@ -1050,14 +1013,12 @@ let compute_certificate ?live_counts t =
   Analysis.analyze ~policy:(analysis_policy t) ?live_counts (analysis_program t)
 
 let certificate t =
-  if not t.use_analysis then None
-  else
-    match t.analysis_cache with
-    | Some (c, _) -> Some c
-    | None ->
-        let c = compute_certificate t in
-        t.analysis_cache <- Some (c, Analysis.finite c.Analysis.cert_total_answers);
-        Some c
+  match t.analysis_cache with
+  | Some (c, _) -> c
+  | None ->
+      let c = compute_certificate t in
+      t.analysis_cache <- Some (c, Analysis.finite c.Analysis.cert_total_answers);
+      c
 
 (* Runtime cross-check: accepted answers must never exceed the certified
    bound. The static certificate cannot see rows the host inserts through
@@ -1070,27 +1031,27 @@ let certificate t =
    deliberately outside [journal_derived_prefixes]: a recount over events
    does not re-run the cross-check. *)
 let analysis_check t =
-  if t.use_analysis then
-    match (certificate t, t.analysis_cache) with
-    | Some _, Some (c, Some bound) ->
-        let m = Telemetry.metrics t.tel in
-        let accepted = Telemetry.Metrics.counter m "answers.accepted" in
-        if accepted > bound then begin
-          Telemetry.Metrics.incr m "analysis.bound.recomputes";
-          let live_counts =
-            List.map
-              (fun rel -> (Reldb.Relation.name rel, Reldb.Relation.cardinal rel))
-              (Reldb.Database.relations t.db)
-          in
-          let c' = compute_certificate ~live_counts t in
-          let bound' = Analysis.finite c'.Analysis.cert_total_answers in
-          t.analysis_cache <- Some (c, bound');
-          match bound' with
-          | Some b when accepted > b ->
-              Telemetry.Metrics.incr m "analysis.bound.violations"
-          | _ -> ()
-        end
-    | _ -> ()
+  let c = certificate t in
+  match t.analysis_cache with
+  | Some (_, Some bound) ->
+      let m = Telemetry.metrics t.tel in
+      let accepted = Telemetry.Metrics.counter m "answers.accepted" in
+      if accepted > bound then begin
+        Telemetry.Metrics.incr m "analysis.bound.recomputes";
+        let live_counts =
+          List.map
+            (fun rel -> (Reldb.Relation.name rel, Reldb.Relation.cardinal rel))
+            (Reldb.Database.relations t.db)
+        in
+        let c' = compute_certificate ~live_counts t in
+        let bound' = Analysis.finite c'.Analysis.cert_total_answers in
+        t.analysis_cache <- Some (c, bound');
+        match bound' with
+        | Some b when accepted > b ->
+            Telemetry.Metrics.incr m "analysis.bound.violations"
+        | _ -> ()
+      end
+  | _ -> ()
 
 (* --- Stepping ------------------------------------------------------------- *)
 
@@ -1159,7 +1120,7 @@ let fire t idx (info : stmt_info) (m : Eval.matched) fp =
 
 (* Fire under a "rule" span when tracing, with an "atom-match" child
    carrying the scan work spent finding the instance this step. *)
-let fire_traced t idx (info : stmt_info) ~rows0 (m : Eval.matched) fp =
+let fire_traced t idx (info : stmt_info) (m : Eval.matched) fp =
   if not (Telemetry.tracing t.tel) then fire t idx info m fp
   else begin
     let h =
@@ -1171,7 +1132,7 @@ let fire_traced t idx (info : stmt_info) ~rows0 (m : Eval.matched) fp =
       ~attrs:
         [
           ("strategy", (if info.delta = None then "rescan" else "delta"));
-          ("rows_scanned", string_of_int (Eval.rows_scanned () - rows0));
+          ("rows_scanned", string_of_int !(t.rows_scanned));
         ]
       ~clock:t.clock;
     let event = fire t idx info m fp in
@@ -1254,8 +1215,8 @@ let delta_scan t idx (info : stmt_info) (ds : delta_state) =
              else if j = i then Eval.Exactly r
              else Eval.All
            in
-           Eval.enumerate ~plan ?reordered t.builtins t.db info.prefix
-             ~init:Binding.empty
+           Eval.enumerate ~plan ?reordered ~rows_scanned:t.rows_scanned t.builtins
+             t.db info.prefix ~init:Binding.empty
              ~f:(fun m ->
                discovered := m :: !discovered;
                incr n_discovered;
@@ -1304,8 +1265,8 @@ let rec pop_unfired t idx info (ds : delta_state) =
       ds.pending <- rest;
       if Hashtbl.mem t.fired fp then pop_unfired t idx info ds else Some (m, fp)
 
-let fire_checked t i info ~rows0 m fp =
-  try Some (fire_traced t i info ~rows0 m fp)
+let fire_checked t i info m fp =
+  try Some (fire_traced t i info m fp)
   with Eval.Error msg ->
     runtime_error "statement %s: %s"
       (Option.value info.stmt.Ast.label ~default:(string_of_int i))
@@ -1313,14 +1274,14 @@ let fire_checked t i info ~rows0 m fp =
 
 (* Examine statement [i]: fire its conflict-resolution winner, or [None]
    when it has no unfired instance. *)
-let visit t ~rows0 i =
+let visit t i =
   let info = t.infos.(i) in
   match info.delta with
   | Some ds -> (
       delta_scan t i info ds;
       match pop_unfired t i info ds with
       | None -> None
-      | Some (m, fp) -> fire_checked t i info ~rows0 m fp)
+      | Some (m, fp) -> fire_checked t i info m fp)
   | None ->
       let gen = body_generation t info in
       if info.exhausted_gen = gen then None
@@ -1337,7 +1298,8 @@ let visit t ~rows0 i =
                let best_key = ref None in
                Eval.enumerate
                  ~reordered:(p.Planner.literals, p.Planner.order)
-                 t.builtins t.db info.prefix ~init:Binding.empty
+                 ~rows_scanned:t.rows_scanned t.builtins t.db info.prefix
+                 ~init:Binding.empty
                  ~f:(fun m ->
                    let fp = fingerprint i info m.support in
                    if Hashtbl.mem t.fired fp then `Continue
@@ -1353,7 +1315,8 @@ let visit t ~rows0 i =
                      `Continue
                    end)
            | None ->
-               Eval.enumerate t.builtins t.db info.prefix ~init:Binding.empty
+               Eval.enumerate ~rows_scanned:t.rows_scanned t.builtins t.db info.prefix
+                 ~init:Binding.empty
                  ~f:(fun m ->
                    let fp = fingerprint i info m.support in
                    if Hashtbl.mem t.fired fp then `Continue
@@ -1369,7 +1332,7 @@ let visit t ~rows0 i =
         | None ->
             info.exhausted_gen <- gen;
             None
-        | Some (m, fp) -> fire_checked t i info ~rows0 m fp
+        | Some (m, fp) -> fire_checked t i info m fp
       end
 
 (* Fire the first statement, in priority order, that has an unfired
@@ -1379,11 +1342,11 @@ let visit t ~rows0 i =
    skipped statement yielded nothing when last examined and no relation
    in its body has changed since, so examining it would yield nothing
    again. *)
-let step_core t ~rows0 =
+let step_core t =
   let rec walk_all i examined =
     if i >= Array.length t.infos then (None, examined)
     else
-      match visit t ~rows0 i with
+      match visit t i with
       | Some _ as fired -> (fired, examined + 1)
       | None -> walk_all (i + 1) (examined + 1)
   in
@@ -1391,7 +1354,7 @@ let step_core t ~rows0 =
     let i = Schedule.first t.schedule in
     if i < 0 then (None, examined)
     else
-      match visit t ~rows0 i with
+      match visit t i with
       | Some _ as fired -> (fired, examined + 1)
       | None ->
           Schedule.sleep_first t.schedule;
@@ -1404,15 +1367,13 @@ let step_core t ~rows0 =
   else walk_all 0 0
 
 (* One machine step, metered: step count, statements examined and the
-   step's share of the process-wide row-scan counter (sampled as a
-   before/after delta, so external resets between steps — e.g. the bench
-   harness — don't skew it). *)
+   candidate rows the step's enumerations scanned. *)
 let step_internal t =
   let m = Telemetry.metrics t.tel in
-  let rows0 = Eval.rows_scanned () in
-  let result, examined = step_core t ~rows0 in
+  t.rows_scanned := 0;
+  let result, examined = step_core t in
   Telemetry.Metrics.incr m "engine.steps";
-  Telemetry.Metrics.incr m ~by:(Eval.rows_scanned () - rows0) "eval.rows_scanned";
+  Telemetry.Metrics.incr m ~by:!(t.rows_scanned) "eval.rows_scanned";
   Telemetry.Metrics.incr m ~by:examined "eval.statements_examined";
   (match result with
   | None -> Telemetry.Metrics.incr m "engine.steps.empty"
@@ -1548,12 +1509,11 @@ let set_lease_config t cfg =
   journal t (J_set_lease cfg);
   t.leases <- Option.map Lease.create cfg
 
-let install_quorum t entry ~aggregate =
+let install_quorum t entry =
   journal t (J_set_quorum entry);
   t.quorum <-
     Option.map
-      (fun (policy, relations) ->
-        { qs_policy = policy; qs_relations = relations; qs_aggregate = aggregate })
+      (fun (policy, relations) -> { qs_policy = policy; qs_relations = relations })
       entry;
   (* The certificate charges per-task answers from the quorum policy. *)
   t.analysis_cache <- None
@@ -1567,9 +1527,9 @@ let check_policy = function
         runtime_error "adaptive quorum: need 1 <= min_votes <= max_votes, got %d..%d"
           min_votes max_votes
 
-let set_quorum_policy t ?relations ?(aggregate = default_aggregate) policy =
+let set_quorum_policy t ?relations policy =
   check_policy policy;
-  install_quorum t (Some (policy, relations)) ~aggregate
+  install_quorum t (Some (policy, relations))
 
 let quorum_policy_of t = Option.map (fun qs -> qs.qs_policy) t.quorum
 
@@ -1579,13 +1539,14 @@ let quorum_policy_of t = Option.map (fun qs -> qs.qs_policy) t.quorum
    bound is answers × cost_per_answer, so it only translates to budget
    units when no payoff statement can add spend on top. Filled BEFORE
    journaling, so replay and recovery re-install the already-filled
-   config (the fill is a no-op on a non-None field) and land on identical
-   monitor state. *)
+   config (the fill is a no-op on a non-None field); a config left
+   unfilled meets the same program, statements and quorum policy on
+   replay and stays unfilled. Either way the replayed monitor state is
+   identical. *)
 let certify_monitor_config t cfg =
   match cfg with
   | Some c
-    when t.use_analysis && c.Monitor.certified_bound = None
-         && c.Monitor.max_budget = None ->
+    when c.Monitor.certified_bound = None && c.Monitor.max_budget = None ->
       let has_payoff =
         Array.exists
           (fun i ->
@@ -1599,8 +1560,7 @@ let certify_monitor_config t cfg =
       in
       if has_payoff then cfg
       else
-        Option.bind (certificate t) (fun cert ->
-            Analysis.finite cert.Analysis.cert_total_answers)
+        Analysis.finite (certificate t).Analysis.cert_total_answers
         |> Option.fold ~none:cfg ~some:(fun b ->
                Some
                  {
@@ -1609,19 +1569,14 @@ let certify_monitor_config t cfg =
                  })
   | _ -> cfg
 
-(* Replay path: install the journaled config verbatim — the fill (if
-   any) already happened before the entry was journaled, so re-running it
-   here could diverge when the restoring engine's analysis flag differs
-   from the original's. *)
-let set_monitor_exact t cfg =
+let set_monitor t cfg =
+  let cfg = certify_monitor_config t cfg in
   journal t (J_set_monitor cfg);
   (* Backfill from the whole event log, so the live monitor always equals
      [Monitor.of_events cfg (events t)] no matter when it was installed —
      and so snapshot replay and crash recovery (which re-run or re-derive
      this entry) land on identical state. *)
   t.monitor <- Option.map (fun c -> Monitor.of_events c (events t)) cfg
-
-let set_monitor t cfg = set_monitor_exact t (certify_monitor_config t cfg)
 
 let monitor t = t.monitor
 
@@ -1867,8 +1822,10 @@ let record_vote t (o : open_tuple) worker vote =
   Hashtbl.replace t.votes o.id ((worker, vote) :: prev);
   List.length prev + 1
 
-(* Chronological votes per open attribute, ready for the aggregation hook. *)
-let votes_by_attr t (o : open_tuple) =
+(* Plurality over each open attribute's votes in arrival order ([Null]
+   when it has none) — how [Fixed] tasks resolve and [Adaptive] tasks
+   escalate. *)
+let plurality_votes t (o : open_tuple) =
   let chronological =
     List.rev_map
       (function
@@ -1878,21 +1835,11 @@ let votes_by_attr t (o : open_tuple) =
   in
   List.map
     (fun attr ->
-      (attr, List.filter_map (fun vs -> List.assoc_opt attr vs) chronological))
+      ( attr,
+        Option.value ~default:Reldb.Value.Null
+          (Quality.Aggregate.plurality
+             (List.filter_map (fun vs -> List.assoc_opt attr vs) chronological)) ))
     o.open_attrs
-
-let aggregate_votes (aggregate : aggregate) ballots =
-  let chosen = aggregate ballots in
-  List.map
-    (fun (attr, vs) ->
-      match List.assoc_opt attr chosen with
-      | Some v -> (attr, v)
-      | None -> (
-          (* A hook that drops an attribute falls back to the first vote. *)
-          match vs with
-          | v :: _ -> (attr, v)
-          | [] -> (attr, Reldb.Value.Null)))
-    ballots
 
 (* --- Worker reputation and the adaptive stopping rule ----------------------- *)
 
@@ -1979,9 +1926,9 @@ let pct p = int_of_float ((p *. 100.) +. 0.5)
 (* The per-task stopping rule of an [Adaptive] policy, combining the
    per-attribute verdicts of {!Quality.Decide.decide} (every ballot binds
    every open attribute, so all slots hold the same number of votes):
-   resolve only when every slot is confident, escalate to the fallback
-   aggregate once any slot hits the cap unconvinced, keep asking
-   otherwise. The reported posterior is the weakest slot's. *)
+   resolve only when every slot is confident, escalate to plurality once
+   any slot hits the cap unconvinced, keep asking otherwise. The reported
+   posterior is the weakest slot's. *)
 let adaptive_verdict t cfg (o : open_tuple) =
   let verdicts =
     List.map
@@ -2096,10 +2043,7 @@ let supply_checked t id ~worker values =
                   in
                   match qs.qs_policy with
                   | Fixed k ->
-                      if n < k then pending ()
-                      else
-                        resolve_with
-                          (aggregate_votes qs.qs_aggregate (votes_by_attr t o))
+                      if n < k then pending () else resolve_with (plurality_votes t o)
                   | Adaptive { tau; min_votes; max_votes } -> (
                       match
                         adaptive_verdict t { Quality.Decide.tau; min_votes; max_votes } o
@@ -2108,8 +2052,7 @@ let supply_checked t id ~worker values =
                       | `Resolve (chosen, posterior_pct, escalated) ->
                           resolve_with ~adaptive:(posterior_pct, escalated) chosen
                       | `Escalate posterior_pct ->
-                          resolve_with ~adaptive:(posterior_pct, true)
-                            (aggregate_votes qs.qs_aggregate (votes_by_attr t o))))
+                          resolve_with ~adaptive:(posterior_pct, true) (plurality_votes t o)))
               | None ->
                   let bound = Reldb.Tuple.to_list o.bound @ values in
                   let effect = insert_tuple t o.relation bound in
@@ -2280,21 +2223,18 @@ let pp_explain fmt t =
   let bounds_by_rel : (string, Analysis.task_bound Queue.t) Hashtbl.t =
     Hashtbl.create 8
   in
-  (match cert with
-  | Some c ->
-      List.iter
-        (fun (tb : Analysis.task_bound) ->
-          let q =
-            match Hashtbl.find_opt bounds_by_rel tb.Analysis.tb_relation with
-            | Some q -> q
-            | None ->
-                let q = Queue.create () in
-                Hashtbl.add bounds_by_rel tb.Analysis.tb_relation q;
-                q
-          in
-          Queue.push tb q)
-        c.Analysis.cert_tasks
-  | None -> ());
+  List.iter
+    (fun (tb : Analysis.task_bound) ->
+      let q =
+        match Hashtbl.find_opt bounds_by_rel tb.Analysis.tb_relation with
+        | Some q -> q
+        | None ->
+            let q = Queue.create () in
+            Hashtbl.add bounds_by_rel tb.Analysis.tb_relation q;
+            q
+      in
+      Queue.push tb q)
+    cert.Analysis.cert_tasks;
   let next_bound rel =
     match Hashtbl.find_opt bounds_by_rel rel with
     | Some q when not (Queue.is_empty q) -> Some (Queue.pop q)
@@ -2418,13 +2358,10 @@ let pp_explain fmt t =
               Format.fprintf fmt "  %-10s %.3f  (%d observations)@." w r n)
             (reliability_table t)
       | _ -> ());
-  (match cert with
-  | None -> Format.fprintf fmt "budget certificate: off@."
-  | Some c ->
-      Format.fprintf fmt "budget certificate: total tasks %s, answers %s  (%s)@."
-        (Analysis.card_to_string c.Analysis.cert_total_tasks)
-        (Analysis.card_to_string c.Analysis.cert_total_answers)
-        c.Analysis.cert_policy);
+  Format.fprintf fmt "budget certificate: total tasks %s, answers %s  (%s)@."
+    (Analysis.card_to_string cert.Analysis.cert_total_tasks)
+    (Analysis.card_to_string cert.Analysis.cert_total_answers)
+    cert.Analysis.cert_policy;
   let pend = pending t in
   Format.fprintf fmt "pending tasks: %d  (dead letters: %d)@." (List.length pend)
     (List.length t.dead);
@@ -2575,27 +2512,19 @@ let replay_entry t = function
   | J_reclaim now -> ignore (reclaim t ~now)
   | J_add_statement s -> add_statement t s
   | J_set_lease cfg -> set_lease_config t cfg
-  | J_set_quorum q -> install_quorum t q ~aggregate:default_aggregate
-  | J_set_monitor cfg -> set_monitor_exact t cfg
+  | J_set_quorum q -> install_quorum t q
+  | J_set_monitor cfg -> set_monitor t cfg
   | J_sample round -> ignore (monitor_sample t ~round)
 
-(* Replay one entry, substituting the unserialisable aggregate closure
-   when the entry installs a quorum policy — the policy itself (Fixed or
-   Adaptive, scope, thresholds) is data and replays as journaled. *)
-let replay_entry_with ~aggregate t = function
-  | J_set_quorum (Some _ as q) ->
-      install_quorum t q ~aggregate:(Option.value aggregate ~default:default_aggregate)
-  | entry -> replay_entry t entry
-
-let restore_payload ?builtins ?aggregate (p : snapshot_payload) =
+let restore_payload (p : snapshot_payload) =
   (* The program was admitted when the snapshot was taken; restore must
      not re-litigate lint policy (the restoring host may have stricter
      defaults than the one that accepted it). *)
   let t =
-    load ?builtins ~lint:`Off ~use_delta:p.snap_use_delta
-      ~use_planner:p.snap_use_planner p.snap_program
+    load ~lint:`Off ~use_delta:p.snap_use_delta ~use_planner:p.snap_use_planner
+      p.snap_program
   in
-  List.iter (replay_entry_with ~aggregate t) p.snap_journal;
+  List.iter (replay_entry t) p.snap_journal;
   t
 
 let payload_of_frame s =
@@ -2625,10 +2554,9 @@ let unmarshal_snapshot payload : snapshot_payload =
   try Marshal.from_string payload 0
   with Failure _ | Invalid_argument _ -> snapshot_error Corrupt_payload
 
-let restore_string ?builtins ?aggregate s =
-  restore_payload ?builtins ?aggregate (unmarshal_snapshot (payload_of_frame s))
+let restore_string s = restore_payload (unmarshal_snapshot (payload_of_frame s))
 
-let restore ?builtins ?aggregate ic =
+let restore ic =
   let buf = Buffer.create 4096 in
   (try
      while true do
@@ -2643,7 +2571,7 @@ let restore ?builtins ?aggregate ic =
         in
         tail ()
       with End_of_file -> ()));
-  restore_string ?builtins ?aggregate (Buffer.contents buf)
+  restore_string (Buffer.contents buf)
 
 (* --- Recovery (durable journal) --------------------------------------------- *)
 
@@ -2654,8 +2582,7 @@ let restore ?builtins ?aggregate ic =
    the continued trace is byte-identical. Journal-derived metrics are
    recounted from the restored events; engine-local gauges (worker
    reliability per-mille) reappear at the next reputation update. *)
-let restore_state ?builtins ?aggregate (p : state_payload) =
-  let builtins = match builtins with Some b -> b | None -> Builtin.default () in
+let restore_state (p : state_payload) =
   let path_rels = Hashtbl.create 4 in
   List.iter
     (fun (g : Ast.game_decl) ->
@@ -2683,7 +2610,7 @@ let restore_state ?builtins ?aggregate (p : state_payload) =
   in
   {
     db = p.st_db;
-    builtins;
+    builtins = Builtin.default ();
     use_delta = p.st_use_delta;
     use_planner = p.st_use_planner;
     infos;
@@ -2702,12 +2629,7 @@ let restore_state ?builtins ?aggregate (p : state_payload) =
     leases = p.st_leases;
     quorum =
       Option.map
-        (fun (policy, relations) ->
-          {
-            qs_policy = policy;
-            qs_relations = relations;
-            qs_aggregate = Option.value aggregate ~default:default_aggregate;
-          })
+        (fun (policy, relations) -> { qs_policy = policy; qs_relations = relations })
         p.st_quorum;
     reputation = p.st_reputation;
     votes = p.st_votes;
@@ -2719,9 +2641,9 @@ let restore_state ?builtins ?aggregate (p : state_payload) =
     monitor = Option.map (fun c -> Monitor.of_events c p.st_events) monitor_config;
     wal = None;
     wal_compact_pending = false;
-    (* The certificate is derived state: recovery keeps the default
-       cross-check on and recomputes it from the restored program. *)
-    use_analysis = true;
+    rows_scanned = ref 0;
+    (* The certificate is derived state, recomputed from the restored
+       program on demand. *)
     analysis_cache = None;
   }
 
@@ -2732,7 +2654,7 @@ type recovery_stats = {
   truncated_bytes : int;
 }
 
-let recover ?builtins ?aggregate ?config ?storage dir =
+let recover ?config ?storage dir =
   let j, (r : Journal.recovery) = Journal.recover ?config ?storage dir in
   let base, entries =
     match r.Journal.records with
@@ -2749,7 +2671,7 @@ let recover ?builtins ?aggregate ?config ?storage dir =
   in
   (* Replay before attaching the WAL: these entries are already durable,
      and replaying through the public API would otherwise re-append them. *)
-  let t = restore_state ?builtins ?aggregate p in
+  let t = restore_state p in
   let replayed = ref 0 in
   List.iter
     (fun (record : Journal.record) ->
@@ -2760,7 +2682,7 @@ let recover ?builtins ?aggregate ?config ?storage dir =
             try Marshal.from_string record.Journal.payload 0
             with Failure _ | Invalid_argument _ -> snapshot_error Corrupt_payload
           in
-          replay_entry_with ~aggregate t e
+          replay_entry t e
       | Journal.Genesis | Journal.Snapshot ->
           (* State records only ever open the base segment. *)
           snapshot_error Corrupt_payload)
@@ -2792,4 +2714,4 @@ type journal_entry = jentry
 
 let journal_entries t = List.rev t.journal
 
-let apply_entry ?aggregate t (e : journal_entry) = replay_entry_with ~aggregate t e
+let apply_entry = replay_entry

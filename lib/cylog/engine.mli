@@ -108,49 +108,32 @@ type reject =
       (** the value's type contradicts the relation's existing column *)
 
 val reject_to_string : reject -> string
-val pp_reject : Format.formatter -> reject -> unit
-
-type aggregate = (string * Reldb.Value.t list) list -> (string * Reldb.Value.t) list
-(** Aggregation policy for quorum tasks: per open attribute, the votes in
-    arrival order; returns the chosen value per attribute. *)
 
 (** How a quorum task decides it has heard enough:
 
-    - [Fixed k] — resolve on exactly [k] answers through the aggregate
-      ([k > 1] to take effect).
+    - [Fixed k] — resolve on exactly [k] answers by plurality per open
+      attribute ({!Quality.Aggregate.plurality}, with its tie-breaking;
+      an attribute without votes gets [Null]); [k > 1] to take effect.
     - [Adaptive _] — confidence-based stopping: after each answer
       (from [min_votes] on) the banked votes are weighed by each voter's
       estimated reliability ([Quality.Model], learnt online from agreement
       with past resolutions) and the task resolves as soon as every open
       attribute's top value reaches posterior [tau]
       ([Quality.Decide]); a task still unresolved at [max_votes] answers
-      {e escalates}: the fallback [aggregate] decides (plurality for
-      values, strict majority for existence). [max_votes] is also the
-      task's lease capacity. *)
+      {e escalates}: plurality decides values, strict majority
+      existence. [max_votes] is also the task's lease capacity. *)
 type quorum_policy =
   | Fixed of int
   | Adaptive of { tau : float; min_votes : int; max_votes : int }
 
-val default_aggregate : aggregate
-(** Plurality per attribute, earliest vote winning ties — the engine-level
-    counterpart of [Quality.Aggregate.majority]. *)
-
-val load : ?builtins:Builtin.registry -> ?use_delta:bool ->
-  ?use_planner:bool -> ?lint:[ `Strict | `Warn | `Off ] ->
-  ?analysis:bool ->
-  ?journal:string -> ?journal_config:Journal.config -> Ast.program -> t
+val load : ?use_delta:bool -> ?use_planner:bool ->
+  ?lint:[ `Strict | `Warn | `Off ] -> Ast.program -> t
 (** Build an engine: declare schemas (inferring schemas of undeclared
     relations from usage), desugar game aspects into path/payoff statements,
-    and declare the [Payoff] relation and per-game path tables.
-
-    [journal] starts a durable write-ahead log in the given directory (see
-    {!Journal} and {!journal_start}): every journaled mutation is appended
-    as it happens, so a crash loses at most the entries after the WAL's
-    last fsync — recover with {!recover}. [journal_config] tunes fsync
-    policy, segment rotation and compaction (default
-    {!Journal.default_config}).
-    @raise Journal.Error ([Journal_exists]) when the directory already
-    holds a journal.
+    and declare the [Payoff] relation and per-game path tables. The engine
+    gets its own {!Builtin.default} registry, so no two engines share a
+    regex cache. A durable journal is started separately, with
+    {!journal_start}.
 
     [lint] (default [`Strict]) runs {!Lint.check} over the source program
     first: [`Strict] raises {!Lint.Rejected} when any error-severity
@@ -159,15 +142,15 @@ val load : ?builtins:Builtin.registry -> ?use_delta:bool ->
     Statements added later through {!add_statement} are not linted — the
     REPL's incremental path keeps its runtime checks.
 
-    [analysis] (default [true]) threads {!Analysis}'s budget certificate
-    into the engine: {!certificate} exposes it (recomputed under the
-    installed quorum policy, invalidated by {!add_statement} and quorum
-    changes), {!set_monitor} defaults the monitor's certified budget from
-    it, and every accepted answer cross-checks the accepted-answer count
-    against the certified bound, counting breaches in the engine-local
-    [analysis.bound.violations] counter (which soundness keeps at 0; an
-    apparent breach first refreshes the certificate with live database
-    cardinalities, so host inserts through the API never false-positive).
+    Every engine carries {!Analysis}'s budget certificate: {!certificate}
+    exposes it (recomputed under the installed quorum policy, invalidated
+    by {!add_statement} and quorum changes), {!set_monitor} defaults the
+    monitor's certified budget from it, and every accepted answer
+    cross-checks the accepted-answer count against the certified bound,
+    counting breaches in the engine-local [analysis.bound.violations]
+    counter (which soundness keeps at 0; an apparent breach first
+    refreshes the certificate with live database cardinalities, so host
+    inserts through the API never false-positive).
 
     [use_delta] (default [true]) enables seminaive (differential)
     evaluation for every statement with at least one positive body atom:
@@ -219,12 +202,11 @@ val add_statement : t -> Ast.statement -> unit
 val builtins : t -> Builtin.registry
 (** The builtin registry in use. *)
 
-val certificate : t -> Analysis.certificate option
+val certificate : t -> Analysis.certificate
 (** The program's budget certificate ({!Analysis.analyze} of the loaded
     program plus incrementally added statements, charged under the
-    installed quorum policy), or [None] when the engine was loaded with
-    [~analysis:false]. Cached; recomputed after {!add_statement} or a
-    quorum change. *)
+    installed quorum policy). Cached; recomputed after {!add_statement} or
+    a quorum change. *)
 
 val clock : t -> int
 (** Logical clock: one tick per machine step or human answer. *)
@@ -307,13 +289,11 @@ val set_lease_config : t -> Lease.config option -> unit
 
 val lease_config : t -> Lease.config option
 
-val set_quorum_policy :
-  t -> ?relations:string list -> ?aggregate:aggregate -> quorum_policy -> unit
+val set_quorum_policy : t -> ?relations:string list -> quorum_policy -> unit
 (** Install a redundant-assignment policy: eligible tasks (undesignated,
     non-repeatable, in [relations] if given) bank answers as votes until
-    the policy resolves them. [aggregate] (default {!default_aggregate})
-    resolves [Fixed] tasks and is the escalation fallback of [Adaptive]
-    tasks.
+    the policy resolves them. Journaled, so restore and recovery reinstall
+    it.
     @raise Runtime_error on an ill-formed adaptive config
     (needs [0 < tau <= 1] and [1 <= min_votes <= max_votes]). *)
 
@@ -481,8 +461,8 @@ val path_table : t -> string -> params:(string * Reldb.Value.t) list -> Reldb.Tu
     A snapshot is the loaded program plus the journal of every
     externally-triggered mutation ([run]/[step]/[supply]/
     [answer_existence]/[decline]/[assign]/[reclaim]/[add_statement]/
-    [set_lease_config]/[set_quorum_policy], in order).
-    [restore] replays the
+    [set_lease_config]/[set_quorum_policy]/[set_monitor]/
+    [monitor_sample], in order). [restore] replays the
     journal through the public API; because evaluation is deterministic
     the restored engine reproduces the original event trace byte for byte
     and can itself be snapshotted again. The format is the
@@ -491,14 +471,11 @@ val path_table : t -> string -> params:(string * Reldb.Value.t) list -> Reldb.Tu
     truncation and version skew are each detected and reported as a typed
     {!Snapshot_error} instead of an arbitrary [Marshal] failure.
 
-    Closures are not serialised: pass [?builtins] matching the original
-    engine's registry, and [?aggregate] to reinstate a custom aggregation
-    hook (the default plurality vote is assumed otherwise). The quorum
-    {e policy} itself — [Fixed] or [Adaptive], with its scope and
-    thresholds — is plain data and replays from the journal without help;
-    [?aggregate] only substitutes the closure it resolves ([Fixed]) or
-    falls back to on escalation ([Adaptive]). Worker reputation is derived
-    state and is rebuilt by the replay byte for byte. *)
+    The program and the journal are the engine's only inputs, so they are
+    all a snapshot needs: the quorum policy ([Fixed] or [Adaptive], with
+    its scope and thresholds) and the monitor config replay from the
+    journal, the builtins are the default registry, and worker reputation
+    and the budget certificate are derived state, rebuilt byte for byte. *)
 
 type snapshot_reason =
   | Not_a_snapshot  (** the magic does not open any snapshot format *)
@@ -526,11 +503,11 @@ val journal_dump : t -> string
     differential tests pitting semi-naive delta evaluation against full
     rescans, and for the crash-point harness's prefix checks. *)
 
-val restore : ?builtins:Builtin.registry -> ?aggregate:aggregate -> in_channel -> t
+val restore : in_channel -> t
 (** @raise Snapshot_error on a corrupt, truncated or version-skewed
     snapshot. *)
 
-val restore_string : ?builtins:Builtin.registry -> ?aggregate:aggregate -> string -> t
+val restore_string : string -> t
 (** @raise Snapshot_error on a corrupt, truncated or version-skewed
     snapshot. *)
 
@@ -547,16 +524,16 @@ val restore_string : ?builtins:Builtin.registry -> ?aggregate:aggregate -> strin
 val journal_start :
   ?config:Journal.config -> ?storage:(module Storage.S) -> t -> string -> unit
 (** Start a fresh durable journal for this engine in the given directory
-    (its genesis record is the engine's current state) and attach it, as
-    [load ?journal] does — exposed separately so tests and tools can
-    supply a non-default {!Storage} (e.g. the fault-injecting simulator).
-    @raise Journal.Error ([Journal_exists]) on a non-empty directory. *)
-
-val attach_journal : t -> Journal.t -> unit
-(** Route every subsequently journaled mutation to this WAL and point its
-    telemetry at the engine (counters [journal.*], spans
+    (its genesis record is the engine's current state) and attach it:
+    every journaled mutation is appended as it happens, so a crash loses
+    at most the entries after the WAL's last fsync — recover with
+    {!recover}. [config] tunes fsync policy, segment rotation and
+    compaction (default {!Journal.default_config}); [storage] swaps in a
+    non-default {!Storage} (e.g. the fault-injecting simulator). The
+    journal's telemetry points at the engine (counters [journal.*], spans
     [journal-append]/[journal-rotate]/[journal-compact] on the engine's
-    logical clock). *)
+    logical clock).
+    @raise Journal.Error ([Journal_exists]) on a non-empty directory. *)
 
 val durable_journal : t -> Journal.t option
 (** The attached WAL, for syncing/closing and {!Journal.stats}. *)
@@ -576,7 +553,6 @@ type recovery_stats = {
 }
 
 val recover :
-  ?builtins:Builtin.registry -> ?aggregate:aggregate ->
   ?config:Journal.config -> ?storage:(module Storage.S) -> string ->
   t * recovery_stats
 (** Crash-consistent recovery from a journal directory: run
@@ -585,10 +561,9 @@ val recover :
     entries through the public API, and re-attach the journal for further
     durable appends. The recovered engine is byte-trace-identical to the
     crashed one at its last durable entry: continuing the same campaign
-    reproduces the original events exactly. [?builtins]/[?aggregate] are
-    as for {!restore}; counters [recovery.records_replayed] and
-    [recovery.truncated_bytes] and a [journal-recover] span (traced runs)
-    record what recovery did.
+    reproduces the original events exactly. Counters
+    [recovery.records_replayed] and [recovery.truncated_bytes] and a
+    [journal-recover] span (traced runs) record what recovery did.
     @raise Journal.Error on an empty, gapped or corrupt journal.
     @raise Snapshot_error when a checksum-valid record fails to
     unmarshal. *)
@@ -605,7 +580,6 @@ type journal_entry
 val journal_entries : t -> journal_entry list
 (** The journal so far, chronological. *)
 
-val apply_entry : ?aggregate:aggregate -> t -> journal_entry -> unit
+val apply_entry : t -> journal_entry -> unit
 (** Re-apply one entry through the public API (re-journaling it, exactly
-    like {!restore}'s replay). Quorum-installing entries replay with
-    [aggregate] (default: the built-in plurality). *)
+    like {!restore}'s replay). *)

@@ -169,15 +169,6 @@ let merge_matched a b = List.merge compare_matched a b
 
 type row_range = All | Below of int | Exactly of int
 
-(* Instrumentation: candidate rows handed to match_atom across all
-   enumerations since the last reset. The joins benchmark (and its smoke
-   test guarding planner regressions) reads this to compare evaluation
-   strategies deterministically, independent of wall-clock noise. *)
-let rows_scanned_counter = ref 0
-
-let rows_scanned () = !rows_scanned_counter
-let reset_rows_scanned () = rows_scanned_counter := 0
-
 let candidate_rows builtins db env (atom : Ast.atom) range =
   match Reldb.Database.find db atom.pred with
   | None -> []
@@ -226,7 +217,7 @@ let replay builtins db body ~init tuples =
   in
   go 0 init [] body
 
-let enumerate ?(plan = fun _ -> All) ?reordered builtins db body ~init ~f =
+let enumerate ?(plan = fun _ -> All) ?reordered ~rows_scanned builtins db body ~init ~f =
   let stop = ref false in
   match reordered with
   | None ->
@@ -245,7 +236,7 @@ let enumerate ?(plan = fun _ -> All) ?reordered builtins db body ~init ~f =
               | [] -> ()
               | (i, tuple) :: more ->
                   if not !stop then begin
-                    incr rows_scanned_counter;
+                    incr rows_scanned;
                     (match match_atom env atom tuple ~builtins with
                     | Some env' ->
                         go (pos_idx + 1) env' ((atom.pred, i, version i) :: support) rest
@@ -280,7 +271,7 @@ let enumerate ?(plan = fun _ -> All) ?reordered builtins db body ~init ~f =
               | [] -> ()
               | (i, tuple) :: more ->
                   if not !stop then begin
-                    incr rows_scanned_counter;
+                    incr rows_scanned;
                     (match match_atom env atom tuple ~builtins with
                     | Some env' ->
                         tuples.(order.(pos_idx)) <- (i, tuple);

@@ -60,13 +60,17 @@ type row_range =
   | Exactly of int  (** one specific row *)
 
 val enumerate : ?plan:(int -> row_range) ->
-  ?reordered:Ast.literal list * int array ->
+  ?reordered:Ast.literal list * int array -> rows_scanned:int ref ->
   Builtin.registry -> Reldb.Database.t -> Ast.literal list ->
   init:Binding.t -> f:(matched -> [ `Stop | `Continue ]) -> unit
 (** Enumerate the valuations of a body over the database, calling [f] on
     each. Relations absent from the database are treated as empty. [plan]
     restricts the rows each positive atom (numbered left to right from 0
-    {e in the original body}) may use; default unrestricted.
+    {e in the original body}) may use; default unrestricted. Every
+    candidate row handed to the atom matcher increments [rows_scanned] —
+    the deterministic work measure behind each engine's
+    [eval.rows_scanned] counter; the caller owns the count, so engines
+    never share it.
 
     Without [reordered], atoms are joined left to right and valuations are
     produced in conflict-resolution order (lexicographic in the row indices
@@ -79,14 +83,6 @@ val enumerate : ?plan:(int -> row_range) ->
     [f] receives valuations may differ; callers needing the
     conflict-resolution winner must select the minimal support key
     themselves. *)
-
-val rows_scanned : unit -> int
-(** Process-wide count of candidate rows handed to the atom matcher since
-    the last {!reset_rows_scanned} — the deterministic work measure used by
-    the joins benchmark and its regression smoke test. *)
-
-val reset_rows_scanned : unit -> unit
-(** Reset the {!rows_scanned} counter. *)
 
 val split_tail : Ast.literal list -> Ast.literal list * Ast.literal list
 (** Split a body into the prefix ending at the last positive atom and the

@@ -117,7 +117,6 @@ let pp_program ppf { Ast.schemas; statements; games; views } =
       views
   end
 
-let statement_to_string s = Format.asprintf "%a" pp_statement s
 let program_to_string p = Format.asprintf "@[<v>%a@]" pp_program p
 
 (* -- Precedence graphs --------------------------------------------------- *)
@@ -189,8 +188,6 @@ let pp_event ppf (e : Engine.event) =
             (fun (attr, v) -> attr ^ "=" ^ Reldb.Value.to_display v)
             e.valuation));
   List.iter (fun eff -> Format.fprintf ppf "  %a" pp_effect eff) e.effects
-
-let event_to_string e = Format.asprintf "%a" pp_event e
 
 (* The quality report: per-worker reliability plus the posterior state of
    every pending task — one JSON object, shared by `tweetpecker

@@ -15,7 +15,6 @@ val pp_statement : Format.formatter -> Ast.statement -> unit
 val pp_game : Format.formatter -> Ast.game_decl -> unit
 val pp_program : Format.formatter -> Ast.program -> unit
 
-val statement_to_string : Ast.statement -> string
 val program_to_string : Ast.program -> string
 
 val pp_precedence : Format.formatter -> Precedence.t -> unit
@@ -36,8 +35,6 @@ val pp_effect : Format.formatter -> Engine.effect -> unit
 val pp_event : Format.formatter -> Engine.event -> unit
 (** One line: clock, rule label (or statement index), worker for
     human-caused events, valuation, then each effect. *)
-
-val event_to_string : Engine.event -> string
 
 val quality_json : Engine.t -> string
 (** The engine's quality state as one JSON object:

@@ -199,7 +199,8 @@ let apply_with ~enumerate_stmt st (strategies : strategies) =
 (* Full enumeration: every instance over the input database, in
    conflict-resolution (left-to-right lexicographic) order. *)
 let enumerate_all _st builtins db (s : Ast.statement) ~f =
-  Eval.enumerate builtins db s.body ~init:Binding.empty ~f:(fun m -> f m; `Continue)
+  Eval.enumerate ~rows_scanned:(ref 0) builtins db s.body ~init:Binding.empty
+    ~f:(fun m -> f m; `Continue)
 
 (* Semi-naive enumeration: only instances whose support touches at least
    one row at or above the previous application's frontiers. Each positive
@@ -235,7 +236,7 @@ let enumerate_delta st builtins db (s : Ast.statement) ~f =
             else if i = p then Eval.Exactly row
             else Eval.All
           in
-          Eval.enumerate ~plan builtins db s.body ~init:Binding.empty
+          Eval.enumerate ~plan ~rows_scanned:(ref 0) builtins db s.body ~init:Binding.empty
             ~f:(fun m ->
               discovered := m :: !discovered;
               `Continue)

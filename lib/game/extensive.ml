@@ -113,16 +113,6 @@ let expected_payoffs node strategy =
   in
   List.map (fun p -> (p, Option.value (Hashtbl.find_opt totals p) ~default:0.0)) ps
 
-let all_strategies node =
-  let sets = info_sets node in
-  let rec build = function
-    | [] -> [ [] ]
-    | (_, is, moves) :: rest ->
-        let tails = build rest in
-        List.concat_map (fun m -> List.map (fun tail -> (is, m) :: tail) tails) moves
-  in
-  build sets
-
 let to_matrix node =
   let sets = info_sets node in
   let ps = players node in

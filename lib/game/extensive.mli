@@ -35,10 +35,6 @@ val expected_payoffs : node -> strategy -> (string * float) list
     over chance nodes. @raise Invalid_argument when a reached information
     set has no chosen move. *)
 
-val all_strategies : node -> strategy list
-(** Every pure strategy profile (cartesian product over information
-    sets). *)
-
 val to_matrix : node -> Matrix.t * (int array -> strategy)
 (** Induced normal form: each player's actions are their pure strategies
     (move choices for each of their information sets); also returns a

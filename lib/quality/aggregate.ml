@@ -14,9 +14,8 @@ let by_item votes =
     votes;
   List.rev_map (fun item -> (item, List.rev !(Hashtbl.find groups item))) !order
 
-(* Plurality over one item's votes in arrival order — the building block
-   behind [majority], exposed so per-attribute aggregation hooks (the
-   engine's quorum policy) can reuse the exact same tie-breaking. *)
+(* Plurality over one item's votes in arrival order — the one tally behind
+   [majority] and the engine's quorum resolution. *)
 let plurality values =
   let counts = ref [] in
   List.iter
@@ -34,22 +33,7 @@ let plurality values =
 let majority votes =
   List.map
     (fun (item, vs) ->
-      let counts = ref [] in
-      List.iter
-        (fun v ->
-          match List.assoc_opt v.value !counts with
-          | Some c -> counts := (v.value, c + 1) :: List.remove_assoc v.value !counts
-          | None -> counts := !counts @ [ (v.value, 1) ])
-        vs;
-      let winner =
-        List.fold_left
-          (fun best (value, c) ->
-            match best with
-            | Some (_, bc) when bc >= c -> best
-            | _ -> Some (value, c))
-          None !counts
-      in
-      (item, match winner with Some (v, _) -> v | None -> ""))
+      (item, Option.value (plurality (List.map (fun v -> v.value) vs)) ~default:""))
     (by_item votes)
 
 type em_result = {

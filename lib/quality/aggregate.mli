@@ -15,9 +15,9 @@ type vote = { item : string; worker : string; value : string }
 
 val plurality : 'a list -> 'a option
 (** Winning value of one item's votes in arrival order ([None] on an empty
-    list), with exactly {!majority}'s tie-breaking — reused by the crowd
-    simulator's quorum-aggregation hook so engine-level redundant
-    assignment and post-hoc aggregation agree. *)
+    list) — the tally behind {!majority} and behind the quorum resolution
+    of [Cylog.Engine], so engine-level redundant assignment and post-hoc
+    aggregation agree. *)
 
 val majority : vote list -> (string * string) list
 (** Winning value per item (plurality; ties break toward the value voted

@@ -221,7 +221,7 @@ let gather ~total_shards inputs =
     p99_ns = percentile latencies 0.99;
     metrics;
     monitor = merge_monitors monitors;
-    certificate = merge_certificates (List.filter_map Engine.certificate engines);
+    certificate = merge_certificates (List.map Engine.certificate engines);
   }
 
 let card_json (c : Analysis.card) =

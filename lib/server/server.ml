@@ -35,7 +35,7 @@ let shard t i = t.pool.(i)
 let campaigns t = List.rev t.open_names
 
 let open_campaign t ~name ?(partition_by = []) ?lease ?policy ?relations
-    ?aggregate ?monitor program =
+    ?monitor program =
   if List.mem name t.open_names then
     failwith (Printf.sprintf "campaign %S already open" name);
   Telemetry.Metrics.incr t.server_metrics "server.campaigns_opened";
@@ -50,8 +50,8 @@ let open_campaign t ~name ?(partition_by = []) ?lease ?policy ?relations
       in
       Shard.open_slot sh ~campaign:name ?journal_dir
         ?journal_config:t.journal_config
-        ?storage:(t.storage_for i) ?lease ?policy ?relations ?aggregate
-        ?monitor splits.(i))
+        ?storage:(t.storage_for i) ?lease ?policy ?relations ?monitor
+        splits.(i))
     t.pool;
   t.open_names <- name :: t.open_names
 
@@ -229,6 +229,6 @@ let stats t =
   Telemetry.Metrics.merge ~into:view.Fleet.metrics t.server_metrics;
   view
 
-let recover_shard t i ~campaign ?builtins ?aggregate ?storage () =
+let recover_shard t i ~campaign ?storage () =
   Telemetry.Metrics.incr t.server_metrics "server.recoveries";
-  Shard.recover_slot t.pool.(i) ~campaign ?builtins ?aggregate ?storage ()
+  Shard.recover_slot t.pool.(i) ~campaign ?storage ()

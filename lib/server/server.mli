@@ -68,7 +68,6 @@ val open_campaign :
   ?lease:Lease.config ->
   ?policy:Engine.quorum_policy ->
   ?relations:string list ->
-  ?aggregate:Engine.aggregate ->
   ?monitor:Monitor.config ->
   Ast.program ->
   unit
@@ -159,8 +158,6 @@ val recover_shard :
   t ->
   int ->
   campaign:string ->
-  ?builtins:Builtin.registry ->
-  ?aggregate:Engine.aggregate ->
   ?storage:(module Storage.S) ->
   unit ->
   Engine.recovery_stats

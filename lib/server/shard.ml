@@ -72,7 +72,7 @@ let record_latency t ns =
 let latencies_ns t = Array.sub t.lat 0 t.lat_n
 
 let open_slot t ~campaign ?journal_dir ?journal_config ?storage ?lease ?policy
-    ?relations ?aggregate ?monitor program =
+    ?relations ?monitor program =
   if Hashtbl.mem t.slots campaign then
     failwith (Printf.sprintf "shard %d: campaign %S already open" t.sid campaign);
   let engine = Engine.load program in
@@ -80,9 +80,7 @@ let open_slot t ~campaign ?journal_dir ?journal_config ?storage ?lease ?policy
   | Some dir -> Engine.journal_start ?config:journal_config ?storage engine dir
   | None -> ());
   Option.iter (fun cfg -> Engine.set_lease_config engine (Some cfg)) lease;
-  Option.iter
-    (fun p -> Engine.set_quorum_policy engine ?relations ?aggregate p)
-    policy;
+  Option.iter (Engine.set_quorum_policy engine ?relations) policy;
   Option.iter (fun cfg -> Engine.set_monitor engine (Some cfg)) monitor;
   ignore (Engine.run engine);
   Hashtbl.add t.slots campaign
@@ -197,15 +195,13 @@ let pump t =
   done;
   !n
 
-let queue_length t = Queue.length t.mailbox
-
 let pending_total t =
   Hashtbl.fold
     (fun _ s acc ->
       if s.crashed then acc else acc + Engine.pending_count s.engine)
     t.slots 0
 
-let recover_slot t ~campaign ?builtins ?aggregate ?storage () =
+let recover_slot t ~campaign ?storage () =
   match find t campaign with
   | None ->
       failwith (Printf.sprintf "shard %d: unknown campaign %S" t.sid campaign)
@@ -224,8 +220,7 @@ let recover_slot t ~campaign ?builtins ?aggregate ?storage () =
              quiescence, and an extra run would journal a fresh entry —
              breaking byte-equality with the pre-crash trace. *)
           let engine, stats =
-            Engine.recover ?builtins ?aggregate ?config:slot.journal_config
-              ?storage:slot.storage dir
+            Engine.recover ?config:slot.journal_config ?storage:slot.storage dir
           in
           slot.engine <- engine;
           slot.crashed <- false;

@@ -71,7 +71,6 @@ val open_slot :
   ?lease:Lease.config ->
   ?policy:Engine.quorum_policy ->
   ?relations:string list ->
-  ?aggregate:Engine.aggregate ->
   ?monitor:Monitor.config ->
   Ast.program ->
   unit
@@ -102,8 +101,6 @@ val pump_one : t -> bool
 val pump : t -> int
 (** Drain the mailbox; the number of requests executed. *)
 
-val queue_length : t -> int
-
 val pending_total : t -> int
 (** Pending open tuples summed over live slots. *)
 
@@ -115,8 +112,6 @@ val latencies_ns : t -> int array
 val recover_slot :
   t ->
   campaign:string ->
-  ?builtins:Builtin.registry ->
-  ?aggregate:Engine.aggregate ->
   ?storage:(module Storage.S) ->
   unit ->
   Engine.recovery_stats

@@ -77,12 +77,3 @@ let belief t ~worker ~tweet_id ~attr =
       let v = draw t worker tw attr in
       Hashtbl.replace t.memo key v;
       v
-
-let is_correct t ~tweet_id ~attr value =
-  match Hashtbl.find_opt t.tweets tweet_id with
-  | None -> false
-  | Some tw -> (
-      match attr with
-      | "weather" -> tw.gt_weather = Some value
-      | "place" -> tw.gt_place = Some value
-      | _ -> false)

@@ -20,7 +20,3 @@ val create : seed:int -> corpus:Tweets.Generator.tweet list -> t
 val belief : t -> worker:Crowd.Worker.profile -> tweet_id:int -> attr:string -> string
 (** The worker's (memoised) belief. @raise Invalid_argument on unknown
     tweet ids or attributes. *)
-
-val is_correct : t -> tweet_id:int -> attr:string -> string -> bool
-(** True iff the value equals the tweet's ground truth for the attribute
-    (false for ambiguous/placeless tweets, which have none). *)

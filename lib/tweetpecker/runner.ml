@@ -79,7 +79,7 @@ let collect_extracts db =
             int_of (Reldb.Tuple.get_or_null t "rid") ))
         (Reldb.Relation.tuples rel)
 
-let run ?(seed = 7) ?corpus ?workers ?use_delta ?use_planner ?lease ?quorum
+let run ?(seed = 7) ?corpus ?workers ?use_delta ?use_planner ?lease
     ?policy ?monitor ?on_alert ?faults ?sink ?journal ?journal_config
     ?storage_faults variant =
   let corpus = match corpus with Some c -> c | None -> Tweets.Generator.corpus () in
@@ -139,7 +139,7 @@ let run ?(seed = 7) ?corpus ?workers ?use_delta ?use_planner ?lease ?quorum
   let rec drive attempts engine =
     try
       let sim =
-        Crowd.Simulator.run ~seed ~progress ?lease ?quorum ?policy ?monitor
+        Crowd.Simulator.run ~seed ~progress ?lease ?policy ?monitor
           ?on_alert ~stop ~workers:sim_workers engine
       in
       Option.iter Cylog.Journal.sync (Cylog.Engine.durable_journal engine);

@@ -30,8 +30,7 @@ val default_workers : Programs.variant -> Crowd.Worker.profile list
 val run :
   ?seed:int -> ?corpus:Tweets.Generator.tweet list ->
   ?workers:Crowd.Worker.profile list -> ?use_delta:bool -> ?use_planner:bool ->
-  ?lease:Cylog.Lease.config -> ?quorum:int ->
-  ?policy:Cylog.Engine.quorum_policy ->
+  ?lease:Cylog.Lease.config -> ?policy:Cylog.Engine.quorum_policy ->
   ?monitor:Cylog.Monitor.config ->
   ?on_alert:(Cylog.Monitor.firing -> [ `Warn | `Pause | `Stop ]) ->
   ?faults:Crowd.Faults.fault list ->
@@ -43,10 +42,9 @@ val run :
     and [use_planner] are passed through to {!Cylog.Engine.load} —
     [~use_delta:false] selects the naive full-rescan evaluation strategy
     and [~use_planner:false] the reference left-to-right join order, for
-    differential testing of semi-naive evaluation and the planner. [lease], [quorum] and [policy] are passed
-    through to {!Crowd.Simulator.run} (lease runtime, redundant
-    assignment, and adaptive quorum policies — [policy] wins over
-    [quorum]); [monitor] and [on_alert] install the campaign monitor and
+    differential testing of semi-naive evaluation and the planner. [lease]
+    and [policy] are passed through to {!Crowd.Simulator.run} (lease
+    runtime, and [Fixed] or [Adaptive] redundant assignment); [monitor] and [on_alert] install the campaign monitor and
     its alert reactions (see {!Crowd.Simulator.run} — by default any
     watchdog firing stops the campaign with [`Alert]); [faults] wraps
     every worker with {!Crowd.Faults.inject} under the same [seed]. [sink] installs a tracing sink on the engine
@@ -55,7 +53,7 @@ val run :
     [outcome.engine].
 
     [journal] runs the campaign with a durable WAL in that directory
-    ({!Cylog.Engine.load}'s [?journal]); [journal_config] tunes it.
+    ({!Cylog.Engine.journal_start}); [journal_config] tunes it.
     [storage_faults] additionally swaps the journal's storage for the
     fault-injecting in-memory simulator under the given profile (seeded
     by the same [seed] as the crowd; see {!Crowd.Faults.storage_plan}) —

@@ -28,7 +28,6 @@ let conditions =
       confusions = [ "stormy"; "breezy" ] } ]
 
 let condition_by_value v = List.find_opt (fun c -> String.equal c.value v) conditions
-let canonical_values = List.map (fun c -> c.value) conditions
 
 let cities =
   [ "Tsukuba"; "Tokyo"; "Osaka"; "Sapporo"; "Sendai"; "Nagoya"; "Kyoto";

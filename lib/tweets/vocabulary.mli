@@ -21,9 +21,6 @@ val conditions : condition list
 val condition_by_value : string -> condition option
 (** Look up a condition by its canonical value. *)
 
-val canonical_values : string list
-(** All canonical values, in {!conditions} order. *)
-
 val cities : string list
 (** Japanese cities appearing as tweet locations. *)
 

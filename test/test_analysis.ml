@@ -53,9 +53,7 @@ let accepted_of m = Telemetry.Metrics.counter m "answers.accepted"
 let violations_of m = Telemetry.Metrics.counter m "analysis.bound.violations"
 
 let finite_bound engine =
-  match Engine.certificate engine with
-  | None -> None
-  | Some c -> Analysis.finite c.Analysis.cert_total_answers
+  Analysis.finite (Engine.certificate engine).Analysis.cert_total_answers
 
 let prop_certificate_sound =
   QCheck.Test.make
@@ -142,17 +140,14 @@ let prop_monotone =
 (* -- Campaigns: faulted and adaptive runs stay within the certificate ------ *)
 
 let check_campaign name (o : Tweetpecker.Runner.outcome) =
-  (match Engine.certificate o.engine with
-  | None -> Alcotest.fail (name ^ ": campaign engine carries no certificate")
-  | Some cert -> (
-      match Analysis.finite cert.Analysis.cert_total_answers with
-      | None -> Alcotest.fail (name ^ ": VE certificate should be finite")
-      | Some bound ->
-          let m = Engine.metrics o.engine in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: accepted %d <= bound %d" name (accepted_of m) bound)
-            true
-            (accepted_of m <= bound)));
+  (match finite_bound o.engine with
+  | None -> Alcotest.fail (name ^ ": VE certificate should be finite")
+  | Some bound ->
+      let m = Engine.metrics o.engine in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: accepted %d <= bound %d" name (accepted_of m) bound)
+        true
+        (accepted_of m <= bound));
   let m = Engine.metrics o.engine in
   Alcotest.(check int) (name ^ ": live violations") 0 (violations_of m);
   let m' = Engine.metrics_of_events (Engine.events o.engine) in
@@ -164,7 +159,10 @@ let test_faulted_campaigns_within_bound () =
   let corpus = Tweets.Generator.generate ~seed:5 6 in
   List.iter
     (fun (name, faults) ->
-      let o = Tweetpecker.Runner.run ~seed:11 ~corpus ~faults ~quorum:3 Tweetpecker.Programs.VE in
+      let o =
+        Tweetpecker.Runner.run ~seed:11 ~corpus ~faults ~policy:(Engine.Fixed 3)
+          Tweetpecker.Programs.VE
+      in
       check_campaign ("faults=" ^ name) o)
     Crowd.Faults.profiles
 

@@ -513,7 +513,7 @@ let quorum_campaign ?faults ?(lease = Lease.default_config) ?(decline = 0.0)
     | None -> workers
   in
   ignore
-    (Crowd.Simulator.run ~seed ~max_rounds:100 ~lease ~quorum:2
+    (Crowd.Simulator.run ~seed ~max_rounds:100 ~lease ~policy:(Engine.Fixed 2)
        ~stop:(fun e ->
          check e;
          Engine.pending e = [])
@@ -651,11 +651,10 @@ let test_pending_and_event_indexes () =
         incr calls;
         check_indexes "live" e;
         if !calls = 60 then begin
-          let aggregate = Crowd.Simulator.majority_aggregate in
           same_as_live "restored from a snapshot" e
-            (Engine.restore_string ~aggregate (Engine.snapshot_string e));
+            (Engine.restore_string (Engine.snapshot_string e));
           let recovered, stats =
-            Engine.recover ~aggregate ~config
+            Engine.recover ~config
               ~storage:(Storage.Sim.storage (Storage.Sim.copy sim))
               "j"
           in
@@ -884,8 +883,7 @@ let test_tweetpecker_snapshot_replay () =
    reputation model is derived state — so a restored engine must carry the
    same policy, reproduce the trace (including Adaptive_resolved effects),
    re-snapshot to the same bytes, and rebuild the reliability table
-   observation for observation. [?aggregate] only substitutes the
-   escalation closure; it must not disturb any of that. *)
+   observation for observation. *)
 let test_restore_under_adaptive_quorum () =
   let src =
     {|rules:
@@ -906,8 +904,8 @@ let test_restore_under_adaptive_quorum () =
     | Error e -> Alcotest.failf "vote rejected: %s" (Engine.reject_to_string e)
   in
   (* Task 1: two agreeing votes — early stop. Task 2: four conflicting
-     votes — escalation through the fallback aggregate. Task 3 stays
-     pending with one banked vote. *)
+     votes — escalation to plurality. Task 3 stays pending with one
+     banked vote. *)
   (match List.map (fun (o : Engine.open_tuple) -> o.id) (Engine.pending engine) with
   | [ t1; t2; t3 ] ->
       vote t1 "w1" "cat";
@@ -919,22 +917,18 @@ let test_restore_under_adaptive_quorum () =
       vote t3 "w1" "bird"
   | pending -> Alcotest.failf "expected 3 open tasks, got %d" (List.length pending));
   let snap = Engine.snapshot_string engine in
-  List.iter
-    (fun (label, restored) ->
-      Alcotest.(check bool) (label ^ ": adaptive policy reinstated") true
-        (Engine.quorum_policy_of restored
-        = Some (Engine.Adaptive { tau = 0.9; min_votes = 2; max_votes = 4 }));
-      Alcotest.(check bool) (label ^ ": trace identical") true
-        (engine_trace restored = engine_trace engine);
-      Alcotest.(check bool) (label ^ ": database identical") true
-        (db_facts (Engine.database restored) = db_facts (Engine.database engine));
-      Alcotest.(check bool) (label ^ ": re-snapshot byte-identical") true
-        (Engine.snapshot_string restored = snap);
-      Alcotest.(check bool) (label ^ ": reputation rebuilt identically") true
-        (Engine.reliability_table restored = Engine.reliability_table engine))
-    [ ("default", Engine.restore_string snap);
-      ( "custom aggregate",
-        Engine.restore_string ~aggregate:Engine.default_aggregate snap ) ];
+  let restored = Engine.restore_string snap in
+  Alcotest.(check bool) "adaptive policy reinstated" true
+    (Engine.quorum_policy_of restored
+    = Some (Engine.Adaptive { tau = 0.9; min_votes = 2; max_votes = 4 }));
+  Alcotest.(check bool) "trace identical" true
+    (engine_trace restored = engine_trace engine);
+  Alcotest.(check bool) "database identical" true
+    (db_facts (Engine.database restored) = db_facts (Engine.database engine));
+  Alcotest.(check bool) "re-snapshot byte-identical" true
+    (Engine.snapshot_string restored = snap);
+  Alcotest.(check bool) "reputation rebuilt identically" true
+    (Engine.reliability_table restored = Engine.reliability_table engine);
   (* The early-stop and escalation events must be in the journal the
      restored engine replays. *)
   let adaptive_effects e =

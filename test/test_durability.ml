@@ -8,8 +8,6 @@
 open Cylog
 module Sim = Storage.Sim
 
-let aggregate = Crowd.Simulator.majority_aggregate
-
 let engine_trace engine =
   List.map
     (fun (e : Engine.event) ->
@@ -253,7 +251,7 @@ let jcfg = { Journal.fsync = Journal.Always; segment_bytes = 512; compact_every 
 let replay ~config ~storage program entries =
   let engine = Engine.load program in
   Engine.journal_start ~config ~storage engine "j";
-  List.iter (Engine.apply_entry ~aggregate engine) entries;
+  List.iter (Engine.apply_entry engine) entries;
   engine
 
 let test_baseline_replay_and_clean_recover () =
@@ -272,7 +270,7 @@ let test_baseline_replay_and_clean_recover () =
   Journal.close j;
   (* Clean recovery: byte-identical state, nothing truncated. *)
   let recovered, rs =
-    Engine.recover ~aggregate ~config:jcfg ~storage:(Sim.storage sim) "j"
+    Engine.recover ~config:jcfg ~storage:(Sim.storage sim) "j"
   in
   Alcotest.(check int) "clean recovery truncates nothing" 0 rs.Engine.truncated_bytes;
   Alcotest.(check bool) "recovered trace identical" true
@@ -280,7 +278,7 @@ let test_baseline_replay_and_clean_recover () =
   Alcotest.(check bool) "recovered journal byte-identical" true
     (Engine.journal_dump recovered = Engine.journal_dump o.engine);
   (* Recover-after-recover is a no-op. *)
-  let again, rs2 = Engine.recover ~aggregate ~config:jcfg ~storage:(Sim.storage sim) "j" in
+  let again, rs2 = Engine.recover ~config:jcfg ~storage:(Sim.storage sim) "j" in
   Alcotest.(check int) "double recovery truncates nothing" 0 rs2.Engine.truncated_bytes;
   Alcotest.(check bool) "double recovery identical" true
     (engine_trace again = engine_trace o.engine)
@@ -295,14 +293,14 @@ let crash_once ~label ~plan ~config program entries ref_trace ref_dump =
      Engine.journal_start ~config ~storage:(Sim.storage sim) engine "j";
      List.iter
        (fun e ->
-         Engine.apply_entry ~aggregate engine e;
+         Engine.apply_entry engine e;
          incr applied)
        entries
    with Storage.Crashed -> ());
   if not (Sim.crashed sim) then
     Alcotest.failf "%s: schedule ended before the planned crash" label;
   let image = Sim.after_crash sim in
-  match Engine.recover ~aggregate ~config ~storage:(Sim.storage image) "j" with
+  match Engine.recover ~config ~storage:(Sim.storage image) "j" with
   | exception Journal.Error (Journal.No_segments _ | Journal.No_valid_base _) ->
       (* Legitimate only when the crash predates the genesis fsync — i.e.
          before any entry was acknowledged. *)
@@ -319,7 +317,7 @@ let crash_once ~label ~plan ~config program entries ref_trace ref_dump =
           (have >= !applied);
       (* Re-drive the lost tail: the resumed engine must be byte-identical
          to the campaign that never crashed. *)
-      List.iter (Engine.apply_entry ~aggregate recovered) (drop_n have entries);
+      List.iter (Engine.apply_entry recovered) (drop_n have entries);
       Alcotest.(check bool) (label ^ ": re-driven trace identical") true
         (engine_trace recovered = ref_trace);
       Alcotest.(check bool) (label ^ ": re-driven journal byte-identical") true
@@ -368,7 +366,7 @@ let test_fsync_policy_matrix () =
       Journal.close (Option.get (Engine.durable_journal engine));
       let total = Sim.ops sim in
       let recovered, _ =
-        Engine.recover ~aggregate ~config ~storage:(Sim.storage sim) "j"
+        Engine.recover ~config ~storage:(Sim.storage sim) "j"
       in
       Alcotest.(check bool) "clean close recovers fully under any policy" true
         (engine_trace recovered = ref_trace);
@@ -405,7 +403,7 @@ let test_enospc_mid_record () =
           Engine.journal_start ~config:jcfg ~storage:(Sim.storage sim) engine "j";
           List.iter
             (fun e ->
-              Engine.apply_entry ~aggregate engine e;
+              Engine.apply_entry engine e;
               incr applied)
             entries;
           false
@@ -415,14 +413,14 @@ let test_enospc_mid_record () =
       (* The process survives ENOSPC; once space is back (the copy lifts
          the budget) recovery truncates the short write and resumes. *)
       let image = Sim.copy sim in
-      match Engine.recover ~aggregate ~config:jcfg ~storage:(Sim.storage image) "j" with
+      match Engine.recover ~config:jcfg ~storage:(Sim.storage image) "j" with
       | exception Journal.Error (Journal.No_segments _ | Journal.No_valid_base _) ->
           Alcotest.(check int) (label ^ ": lost journals predate any append") 0 !applied
       | recovered, _ ->
           Alcotest.(check bool) (label ^ ": prefix survives") true
             (is_prefix (engine_trace recovered) ref_trace);
           let have = List.length (Engine.journal_entries recovered) in
-          List.iter (Engine.apply_entry ~aggregate recovered) (drop_n have entries);
+          List.iter (Engine.apply_entry recovered) (drop_n have entries);
           Alcotest.(check bool) (label ^ ": re-driven trace identical") true
             (engine_trace recovered = ref_trace);
           Alcotest.(check bool) (label ^ ": re-driven journal byte-identical") true
@@ -436,7 +434,7 @@ let test_runner_storage_fault_profiles () =
     (fun (name, profile) ->
       let o =
         Tweetpecker.Runner.run ~seed:13 ~corpus:(Lazy.force corpus)
-          ~storage_faults:profile ~quorum:2 variant
+          ~storage_faults:profile ~policy:(Engine.Fixed 2) variant
       in
       Alcotest.(check (float 0.0001))
         (name ^ ": campaign completes despite the storage") 1.0
@@ -452,7 +450,7 @@ let test_runner_composes_worker_and_storage_faults () =
      storage in one seeded run. *)
   let o =
     Tweetpecker.Runner.run ~seed:13 ~corpus:(Lazy.force corpus)
-      ~faults:Crowd.Faults.garble ~lease:Lease.default_config ~quorum:2
+      ~faults:Crowd.Faults.garble ~lease:Lease.default_config ~policy:(Engine.Fixed 2)
       ~storage_faults:Crowd.Faults.torn variant
   in
   (* Garbled answers may dead-letter a task via the rejection budget, so

@@ -505,7 +505,7 @@ let test_fault_matrix () =
         (fun variant ->
           let o =
             Tweetpecker.Runner.run ~seed:13 ~corpus ~faults
-              ~lease:Lease.default_config ~quorum:2 variant
+              ~lease:Lease.default_config ~policy:(Engine.Fixed 2) variant
           in
           let label =
             Printf.sprintf "%s × %s" name (Tweetpecker.Programs.variant_name variant)
@@ -580,12 +580,10 @@ let test_snapshot_faulted_campaign_replays () =
   let corpus = Tweets.Generator.generate ~seed:5 6 in
   let o =
     Tweetpecker.Runner.run ~seed:13 ~corpus ~faults:Crowd.Faults.all
-      ~lease:Lease.default_config ~quorum:2 Tweetpecker.Programs.VE
+      ~lease:Lease.default_config ~policy:(Engine.Fixed 2) Tweetpecker.Programs.VE
   in
   let snap = Engine.snapshot_string o.engine in
-  let restored =
-    Engine.restore_string ~aggregate:Crowd.Simulator.majority_aggregate snap
-  in
+  let restored = Engine.restore_string snap in
   Alcotest.(check bool) "trace identical" true
     (engine_trace restored = engine_trace o.engine);
   Alcotest.(check bool) "dead letters identical" true

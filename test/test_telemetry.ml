@@ -107,7 +107,8 @@ let quorum_campaign ?faults ~seed () =
     | None -> workers
   in
   let outcome =
-    Crowd.Simulator.run ~seed ~max_rounds:100 ~lease:Lease.default_config ~quorum:2
+    Crowd.Simulator.run ~seed ~max_rounds:100 ~lease:Lease.default_config
+      ~policy:(Engine.Fixed 2)
       ~stop:(fun e -> Engine.pending e = [])
       ~workers engine
   in
