@@ -572,7 +572,7 @@ let dur_throughput ~count fsync =
     { Cylog.Journal.default_config with fsync; segment_bytes = 1 lsl 16 }
   in
   let payload = String.make 128 'x' in
-  let j = Cylog.Journal.create ~config ~storage ~genesis:"bench" dur_dir in
+  let j = Cylog.Journal.create ~config ~storage ~genesis:[ "bench" ] dur_dir in
   for _ = 1 to count do
     Cylog.Journal.append j payload
   done;

@@ -169,6 +169,19 @@ type delta_state = {
   mutable last_mode : delta_mode;
 }
 
+(* What a WAL state record carries besides live state, each part
+   marshalled once: the program, cut when the first record is written,
+   and one chunk per cut since — the events and journal entries appended
+   between two cuts. *)
+type encoded_history = {
+  program_bytes : string;
+  mutable chunks : string list;  (* reverse chronological *)
+  mutable events_covered : int;  (* the events the chunks hold *)
+  mutable journal_cut : jentry list;
+      (* the journal when the last chunk was cut; the journal only grows
+         at its head, so the entries since are those in front of it *)
+}
+
 type stmt_info = {
   stmt : Ast.statement;
   origin : origin;
@@ -230,6 +243,9 @@ type t = {
   votes : (open_id, (Reldb.Value.t * vote) list) Hashtbl.t;  (* reverse *)
   mutable dead : (open_tuple * Lease.reason) list;  (* reverse *)
   mutable journal : jentry list;  (* reverse chronological *)
+  mutable encoded : encoded_history option;
+      (* history already marshalled for WAL state records; None until the
+         first one (see [state_parts]) *)
   tel : Telemetry.t;
   counting : count_state;
       (* per-open-id fold state (creation clocks, banked ballots) that
@@ -258,61 +274,104 @@ type t = {
 
 (* --- Durable journal (WAL) -------------------------------------------------- *)
 
-(* Materialised engine state, the payload of WAL genesis and compaction
-   records: every closure-free field is marshalled directly, so restoring
-   from a compacted journal costs O(live state), not O(journal length).
-   Closure-bearing state — builtins, statement plans and delta frontiers,
-   telemetry — is rebuilt by [restore_state]. The
-   fired memo rides along, so the rebuilt delta state re-derives without
-   re-firing and the continued trace stays byte-identical. *)
-type state_payload = {
+(* A WAL genesis or compaction record's payload: a version tag (the
+   magic, then the version as one byte), then separately marshalled
+   values back to back —
+
+     "CYLOG-STATE/" \002  program  live_state  chunk_1 .. chunk_n
+
+   The history is encoded once. The program is marshalled by the first
+   record; each record marshals the live state afresh and, as a new
+   chunk, the events and journal entries appended since the previous
+   record, and copies every other part from strings the engine kept
+   (see [encoded_history]). So a record costs O(live state + new
+   history) to marshal. Closure-bearing state — builtins,
+   statement plans and delta frontiers, telemetry — is rebuilt by
+   [restore_state]. The fired memo rides along, so the rebuilt delta
+   state re-derives without re-firing and the continued trace stays
+   byte-identical. *)
+type live_state = {
   st_use_delta : bool;
   st_use_planner : bool;
-  st_program : Ast.program;
   st_db : Reldb.Database.t;
   st_fired : (string, unit) Hashtbl.t;
   st_open_tbl : (open_id, open_tuple) Hashtbl.t;
-  st_open_order : open_id list;
-      (* the pending ids, newest first; restore rebuilds the index from
-         [st_open_tbl], so older payloads that also list resolved ids
-         restore the same *)
   st_next_open : open_id;
   st_clock : int;
-  st_events : event list;  (* chronological *)
   st_leases : Lease.t option;
   st_quorum : (quorum_policy * string list option) option;
   st_reputation : Quality.Model.t;
   st_votes : (open_id, (Reldb.Value.t * vote) list) Hashtbl.t;
   st_dead : (open_tuple * Lease.reason) list;
-  st_journal : jentry list;  (* chronological *)
 }
 
-(* Flags [] reject closures at marshal time — a safety net against a
-   closure-bearing field sneaking into the payload. *)
-let state_string t =
-  Marshal.to_string
+type history_chunk = {
+  hc_events : event array;  (* chronological *)
+  hc_journal : jentry list;  (* chronological *)
+}
+
+let state_magic = "CYLOG-STATE/"
+let state_version = 2
+let state_tag = state_magic ^ String.make 1 (Char.chr state_version)
+
+(* The entries of a reverse-chronological journal in front of [cut],
+   oldest first. *)
+let entries_since cut journal =
+  let rec go l acc =
+    if l == cut then acc
+    else match l with e :: rest -> go rest (e :: acc) | [] -> invalid_arg "Engine.entries_since"
+  in
+  go journal []
+
+(* The parts of a state record, concatenated by [Journal] as it frames
+   them. Cuts a chunk from the history not yet encoded. Flags [] reject
+   closures at marshal time — a safety net against a closure-bearing
+   field sneaking into the payload. *)
+let state_parts t =
+  let h =
+    match t.encoded with
+    | Some h -> h
+    | None ->
+        let h =
+          { program_bytes = Marshal.to_string (t.program : Ast.program) [];
+            chunks = [];
+            events_covered = 0;
+            journal_cut = [] }
+        in
+        t.encoded <- Some h;
+        h
+  in
+  let n_events = Reldb.Dynarray.length t.events in
+  if n_events > h.events_covered || t.journal != h.journal_cut then begin
+    let chunk =
+      {
+        hc_events =
+          Array.init (n_events - h.events_covered) (fun i ->
+              Reldb.Dynarray.get t.events (h.events_covered + i));
+        hc_journal = entries_since h.journal_cut t.journal;
+      }
+    in
+    h.chunks <- Marshal.to_string chunk [] :: h.chunks;
+    h.events_covered <- n_events;
+    h.journal_cut <- t.journal
+  end;
+  let live =
     {
       st_use_delta = t.use_delta;
       st_use_planner = t.use_planner;
-      st_program = t.program;
       st_db = t.db;
       st_fired = t.fired;
       st_open_tbl = t.open_tbl;
-      st_open_order =
-        Reldb.Dynarray.fold_left
-          (fun acc id -> if Hashtbl.mem t.open_tbl id then id :: acc else acc)
-          [] t.open_ids;
       st_next_open = t.next_open;
       st_clock = t.clock;
-      st_events = Reldb.Dynarray.to_list t.events;
       st_leases = t.leases;
       st_quorum = Option.map (fun qs -> (qs.qs_policy, qs.qs_relations)) t.quorum;
       st_reputation = t.reputation;
       st_votes = t.votes;
       st_dead = t.dead;
-      st_journal = List.rev t.journal;
     }
-    []
+  in
+  state_tag :: h.program_bytes :: Marshal.to_string live [] :: List.rev h.chunks
 
 let wal_append t (e : jentry) =
   match t.wal with
@@ -325,7 +384,7 @@ let wal_append t (e : jentry) =
            snapshot a state that excludes an entry already in the WAL,
            and recovery would skip that entry's effects. *)
         t.wal_compact_pending <- false;
-        Journal.compact j (state_string t)
+        Journal.compact j (state_parts t)
       end;
       Journal.append j (Marshal.to_string (e : jentry) []);
       if Journal.wants_compaction j then t.wal_compact_pending <- true
@@ -340,7 +399,7 @@ let attach_journal t j =
   Journal.set_telemetry j t.tel ~clock:(fun () -> t.clock)
 
 let journal_start ?config ?storage t dir =
-  let j = Journal.create ?config ?storage ~genesis:(state_string t) dir in
+  let j = Journal.create ?config ?storage ~genesis:(state_parts t) dir in
   attach_journal t j
 
 let durable_journal t = t.wal
@@ -353,7 +412,7 @@ let compact_journal t =
   | None -> ()
   | Some j ->
       t.wal_compact_pending <- false;
-      Journal.compact j (state_string t)
+      Journal.compact j (state_parts t)
 
 (* --- Game-aspect desugaring -------------------------------------------- *)
 
@@ -539,6 +598,7 @@ let load ?(use_delta = true) ?(use_planner = true) ?(lint = `Strict)
     votes = Hashtbl.create 16;
     dead = [];
     journal = [];
+    encoded = None;
     tel = Telemetry.create ();
     counting = fresh_count_state ();
     task_spans = Hashtbl.create 16;
@@ -2575,38 +2635,87 @@ let restore ic =
 
 (* --- Recovery (durable journal) --------------------------------------------- *)
 
-(* The inverse of [state_string]: rebuild a live engine around the
-   marshalled closure-free state. Plans, delta frontiers and statement
-   memos start fresh — the fired memo (restored) is consulted at fire
-   time, so re-derivation discovers but never re-fires old instances and
-   the continued trace is byte-identical. Journal-derived metrics are
-   recounted from the restored events; engine-local gauges (worker
-   reliability per-mille) reappear at the next reputation update. *)
-let restore_state (p : state_payload) =
+(* The format version a state payload declares: the byte after the
+   magic. Payloads from before the tag were one bare Marshal image of the
+   whole state: version 1. *)
+let payload_version payload =
+  let m = String.length state_magic in
+  if String.length payload > m && String.starts_with ~prefix:state_magic payload then
+    Char.code payload.[m]
+  else 1
+
+(* The Marshal values that follow the tag, as (offset, size). *)
+let payload_values payload =
+  let len = String.length payload in
+  let rec go pos acc =
+    if pos = len then List.rev acc
+    else
+      let size =
+        try Marshal.total_size (Bytes.unsafe_of_string payload) pos
+        with Failure _ | Invalid_argument _ -> snapshot_error Corrupt_payload
+      in
+      if size > len - pos then snapshot_error Corrupt_payload
+      else go (pos + size) ((pos, size) :: acc)
+  in
+  go (String.length state_tag) []
+
+let unmarshal_at payload (pos, _) =
+  try Marshal.from_string payload pos
+  with Failure _ | Invalid_argument _ -> snapshot_error Corrupt_payload
+
+let value_bytes payload (pos, size) = String.sub payload pos size
+
+(* The inverse of [state_parts]: check the version tag before any
+   unmarshalling, decode the program, the live state and the history
+   chunks in order, and rebuild a live engine around them. The engine
+   keeps the program's and the chunks' bytes, so its next record copies
+   them instead of encoding the old history again. Plans, delta
+   frontiers and statement memos start fresh — the fired memo (restored)
+   is consulted at fire time, so re-derivation discovers but never
+   re-fires old instances and the continued trace is byte-identical.
+   Journal-derived metrics are recounted from the restored events;
+   engine-local gauges (worker reliability per-mille) reappear at the
+   next reputation update. *)
+let restore_state payload =
+  let version = payload_version payload in
+  if version <> state_version then snapshot_error (Unsupported_version version);
+  let program_at, live_at, chunks_at =
+    match payload_values payload with
+    | program_at :: live_at :: chunks_at -> (program_at, live_at, chunks_at)
+    | _ -> snapshot_error Corrupt_payload
+  in
+  let program : Ast.program = unmarshal_at payload program_at in
+  let p : live_state = unmarshal_at payload live_at in
+  let events = Reldb.Dynarray.create () in
+  let journal = ref [] in
+  List.iter
+    (fun at ->
+      let c : history_chunk = unmarshal_at payload at in
+      Array.iter (fun e -> ignore (Reldb.Dynarray.push events e)) c.hc_events;
+      journal := List.rev_append c.hc_journal !journal)
+    chunks_at;
   let path_rels = Hashtbl.create 4 in
   List.iter
     (fun (g : Ast.game_decl) ->
       Hashtbl.replace path_rels (Ast.path_relation_name g.game_name) g.game_params)
-    p.st_program.games;
+    program.games;
   let added =
-    List.filter_map
-      (function J_add_statement s -> Some (s, Main) | _ -> None)
-      p.st_journal
+    List.fold_left
+      (fun acc e -> match e with J_add_statement s -> (s, Main) :: acc | _ -> acc)
+      [] !journal
   in
-  let statements = effective_statements p.st_program @ added in
+  let statements = effective_statements program @ added in
   let infos =
     Array.of_list (List.map (make_info ~use_delta:p.st_use_delta) statements)
   in
   let tel = Telemetry.create () in
   let counting = fresh_count_state () in
-  List.iter (count_event counting (Telemetry.metrics tel)) p.st_events;
+  Reldb.Dynarray.iter (count_event counting (Telemetry.metrics tel)) events;
   (* The monitor is derived state: the last installed config is in the
      journal (like added statements above) and its state is the fold of
      the restored events — byte-identical to the crashed engine's. *)
   let monitor_config =
-    List.fold_left
-      (fun acc e -> match e with J_set_monitor c -> c | _ -> acc)
-      None p.st_journal
+    Option.join (List.find_map (function J_set_monitor c -> Some c | _ -> None) !journal)
   in
   {
     db = p.st_db;
@@ -2622,10 +2731,10 @@ let restore_state (p : state_payload) =
         (List.sort Int.compare (Hashtbl.fold (fun id _ acc -> id :: acc) p.st_open_tbl []));
     next_open = p.st_next_open;
     clock = p.st_clock;
-    events = Reldb.Dynarray.of_list p.st_events;
+    events;
     path_rels;
-    views = p.st_program.views;
-    program = p.st_program;
+    views = program.views;
+    program;
     leases = p.st_leases;
     quorum =
       Option.map
@@ -2634,11 +2743,20 @@ let restore_state (p : state_payload) =
     reputation = p.st_reputation;
     votes = p.st_votes;
     dead = p.st_dead;
-    journal = List.rev p.st_journal;
+    journal = !journal;
+    encoded =
+      Some
+        {
+          program_bytes = value_bytes payload program_at;
+          chunks = List.rev_map (value_bytes payload) chunks_at;
+          events_covered = Reldb.Dynarray.length events;
+          journal_cut = !journal;
+        };
     tel;
     counting;
     task_spans = Hashtbl.create 16;
-    monitor = Option.map (fun c -> Monitor.of_events c p.st_events) monitor_config;
+    monitor =
+      Option.map (fun c -> Monitor.of_events c (Reldb.Dynarray.to_list events)) monitor_config;
     wal = None;
     wal_compact_pending = false;
     rows_scanned = ref 0;
@@ -2665,13 +2783,9 @@ let recover ?config ?storage dir =
            corrupt journal. *)
         raise (Journal.Error (Journal.No_valid_base dir))
   in
-  let p : state_payload =
-    try Marshal.from_string base 0
-    with Failure _ | Invalid_argument _ -> snapshot_error Corrupt_payload
-  in
   (* Replay before attaching the WAL: these entries are already durable,
      and replaying through the public API would otherwise re-append them. *)
-  let t = restore_state p in
+  let t = restore_state base in
   let replayed = ref 0 in
   List.iter
     (fun (record : Journal.record) ->

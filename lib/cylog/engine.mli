@@ -480,13 +480,18 @@ val path_table : t -> string -> params:(string * Reldb.Value.t) list -> Reldb.Tu
 type snapshot_reason =
   | Not_a_snapshot  (** the magic does not open any snapshot format *)
   | Unsupported_version of int
-      (** a CyLog snapshot, but from an incompatible format version
-          (e.g. a pre-checksum v1 checkpoint) *)
+      (** a CyLog snapshot or WAL state payload, but from an incompatible
+          format version: a pre-checksum v1 checkpoint, or a genesis or
+          compaction payload written before state payloads carried a
+          version tag (version 1). Refused before any byte is
+          unmarshalled. *)
   | Truncated  (** shorter than its header or declared payload length *)
   | Checksum_mismatch  (** framing intact but the payload CRC disagrees *)
   | Corrupt_payload  (** checksum passed yet unmarshalling failed *)
 
 exception Snapshot_error of snapshot_reason
+(** Raised by {!restore}, {!restore_string} and {!recover} instead of
+    reading bytes whose format they do not know. *)
 
 val snapshot_reason_to_string : snapshot_reason -> string
 
@@ -517,9 +522,17 @@ val restore_string : string -> t
     on-disk segmented WAL {e as it is emitted} — the volatile journal
     above and the durable one always agree — and compaction periodically
     folds the resolved state (quorums, leases, dead letters, the database)
-    into a materialised snapshot record so recovery costs O(live state),
-    not O(journal length). See docs/DURABILITY.md for the format and the
-    crash-consistency guarantees. *)
+    into a materialised snapshot record so recovery replays O(live state)
+    entries, not O(journal length).
+
+    A genesis or compaction record's payload is a version tag
+    (["CYLOG-STATE/"] and the version byte, 2), the marshalled program,
+    the marshalled live state and the history chunks: each chunk holds the events and journal entries
+    appended between two records and is marshalled once, by the record
+    that cuts it. The engine keeps those strings, so a compaction
+    marshals O(live state + new history) and copies the rest. See
+    docs/DURABILITY.md for the format and the crash-consistency
+    guarantees. *)
 
 val journal_start :
   ?config:Journal.config -> ?storage:(module Storage.S) -> t -> string -> unit
@@ -556,16 +569,21 @@ val recover :
   ?config:Journal.config -> ?storage:(module Storage.S) -> string ->
   t * recovery_stats
 (** Crash-consistent recovery from a journal directory: run
-    {!Journal.recover} (checksum scan, torn-tail truncation), rebuild the
-    engine from the base genesis/snapshot record, replay the surviving
-    entries through the public API, and re-attach the journal for further
-    durable appends. The recovered engine is byte-trace-identical to the
-    crashed one at its last durable entry: continuing the same campaign
-    reproduces the original events exactly. Counters
-    [recovery.records_replayed] and [recovery.truncated_bytes] and a
-    [journal-recover] span (traced runs) record what recovery did.
+    {!Journal.recover} (checksum scan, torn-tail truncation), check the
+    base genesis/snapshot payload's version tag, rebuild the engine from
+    its program, live state and history chunks (decoded in order; the
+    engine keeps their bytes, so its next compaction does not encode the
+    old history again), replay the surviving entries through the public
+    API, and re-attach the journal for further durable appends. The
+    recovered engine is byte-trace-identical to the crashed one at its
+    last durable entry: continuing the same campaign reproduces the
+    original events exactly. Counters [recovery.records_replayed] and
+    [recovery.truncated_bytes] and a [journal-recover] span (traced runs)
+    record what recovery did.
     @raise Journal.Error on an empty, gapped or corrupt journal.
-    @raise Snapshot_error when a checksum-valid record fails to
+    @raise Snapshot_error [(Unsupported_version v)] when the base payload
+    is from another format version — an untagged payload is version 1 —
+    and [Corrupt_payload] when a checksum-valid record fails to
     unmarshal. *)
 
 (** {1 The journal as a replayable script}

@@ -42,12 +42,6 @@ let magic = "CYLOG-WAL/1\n"
 let header_len = 16
 let record_version = 1
 
-let put_u32le b n =
-  Buffer.add_char b (Char.chr (n land 0xff));
-  Buffer.add_char b (Char.chr ((n lsr 8) land 0xff));
-  Buffer.add_char b (Char.chr ((n lsr 16) land 0xff));
-  Buffer.add_char b (Char.chr ((n lsr 24) land 0xff))
-
 let get_u32le s pos =
   Char.code s.[pos]
   lor (Char.code s.[pos + 1] lsl 8)
@@ -56,11 +50,14 @@ let get_u32le s pos =
 
 let crc_int c = Int32.to_int c land 0xFFFFFFFF
 
+let put_header b index =
+  Bytes.blit_string magic 0 b 0 (String.length magic);
+  Bytes.set_int32_le b (String.length magic) (Int32.of_int index)
+
 let segment_header index =
-  let b = Buffer.create header_len in
-  Buffer.add_string b magic;
-  put_u32le b index;
-  Buffer.contents b
+  let b = Bytes.create header_len in
+  put_header b index;
+  Bytes.unsafe_to_string b
 
 let header_valid contents index =
   String.length contents >= header_len
@@ -69,18 +66,27 @@ let header_valid contents index =
 
 let kind_byte = function Genesis -> 0 | Entry -> 1 | Snapshot -> 2
 
-let encode kind payload =
-  let plen = String.length payload in
-  let body = Bytes.create (2 + plen) in
-  Bytes.set body 0 (Char.chr record_version);
-  Bytes.set body 1 (Char.chr (kind_byte kind));
-  Bytes.blit_string payload 0 body 2 plen;
-  let body = Bytes.unsafe_to_string body in
-  let b = Buffer.create (8 + 2 + plen) in
-  put_u32le b (2 + plen);
-  put_u32le b (crc_int (Storage.crc32 body));
-  Buffer.add_string b body;
-  Buffer.contents b
+(* One record whose payload is the concatenation of [parts], ready for a
+   single [St.append]: the parts are copied once, into the buffer that
+   carries the frame (behind the header of segment [segment], when the
+   record opens one), and checksummed in place. *)
+let frame ?segment kind parts =
+  let at = match segment with Some _ -> header_len | None -> 0 in
+  let plen = List.fold_left (fun n p -> n + String.length p) 0 parts in
+  let b = Bytes.create (at + 10 + plen) in
+  Option.iter (put_header b) segment;
+  Bytes.set_int32_le b at (Int32.of_int (2 + plen));
+  Bytes.set b (at + 8) (Char.chr record_version);
+  Bytes.set b (at + 9) (Char.chr (kind_byte kind));
+  ignore
+    (List.fold_left
+       (fun pos p ->
+         Bytes.blit_string p 0 b pos (String.length p);
+         pos + String.length p)
+       (at + 10) parts);
+  Bytes.set_int32_le b (at + 4)
+    (Storage.crc32_sub (Bytes.unsafe_to_string b) ~pos:(at + 8) ~len:(2 + plen));
+  Bytes.unsafe_to_string b
 
 (* How a sequential parse of a segment's record run ends. [Torn] means the
    bytes from [offset] on do not frame a checksum-valid record — truncatable
@@ -236,7 +242,7 @@ let rotate t =
 let append t payload =
   let module St = (val t.storage) in
   if t.seg_bytes >= t.cfg.segment_bytes then rotate t;
-  let framed = encode Entry payload in
+  let framed = frame Entry [ payload ] in
   St.append (seg_path t t.seg) framed;
   t.seg_bytes <- t.seg_bytes + String.length framed;
   t.since_snapshot <- t.since_snapshot + 1;
@@ -244,12 +250,12 @@ let append t payload =
       [ ("segment", string_of_int t.seg); ("bytes", string_of_int (String.length framed)) ]);
   after_append t
 
-let compact t snapshot =
+let compact t parts =
   let module St = (val t.storage) in
   let target = t.seg + 1 in
   let tmp = seg_path t target ^ ".tmp" in
   St.delete tmp;
-  St.append tmp (segment_header target ^ encode Snapshot snapshot);
+  St.append tmp (frame ~segment:target Snapshot parts);
   St.fsync tmp;
   t.n_fsyncs <- t.n_fsyncs + 1;
   count t "journal.fsyncs";
@@ -280,7 +286,7 @@ let compact t snapshot =
   count t "journal.compactions";
   span t "journal-compact" (fun () ->
       [ ("segment", string_of_int target);
-        ("bytes", string_of_int (String.length snapshot));
+        ("bytes", string_of_int (List.fold_left (fun n p -> n + String.length p) 0 parts));
         ("folded_segments", string_of_int (List.length old)) ])
 
 let close t =
@@ -340,7 +346,7 @@ let create ?config ?storage ~genesis dir =
   St.mkdirp dir;
   if List.exists (fun f -> seg_index f <> None) (St.list_dir dir) then
     raise (Error (Journal_exists dir));
-  let bytes = segment_header 0 ^ encode Genesis genesis in
+  let bytes = frame ~segment:0 Genesis genesis in
   St.append (seg_path t 0) bytes;
   (* Genesis durability is unconditional: a journal that exists can be
      recovered, whatever the fsync policy says about later entries. That

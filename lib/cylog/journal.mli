@@ -29,6 +29,9 @@
     bytes payload  — opaque (engine-marshalled)
     v}
 
+    Every record reaches storage in one append. A Genesis or Snapshot
+    record is written together with the header of the segment it opens.
+
     Segment 0 of a fresh journal starts with a [Genesis] record and a
     compaction segment starts with a [Snapshot]; rotated segments hold
     only [Entry] records. Recovery's base is therefore the {e greatest}
@@ -88,11 +91,11 @@ val error_to_string : error -> string
 type t
 
 val create :
-  ?config:config -> ?storage:(module Storage.S) -> genesis:string ->
+  ?config:config -> ?storage:(module Storage.S) -> genesis:string list ->
   string -> t
 (** [create ~genesis dir] starts a fresh journal in [dir] (created if
-    needed): segment 0 is written with a [Genesis] record carrying
-    [genesis] and made durable — data fsync plus a directory fsync for
+    needed): segment 0 is written with a [Genesis] record whose payload
+    is the concatenation of the [genesis] parts, and made durable — data fsync plus a directory fsync for
     the entry itself — before the call returns, whatever the fsync
     policy. Default storage is {!Storage.Posix}.
     @raise Error ([Journal_exists]) when [dir] already holds segments —
@@ -105,10 +108,12 @@ val append : t -> string -> unit
     — so only the final segment of a journal can ever hold torn bytes —
     and syncs the directory so the successor's entry survives a crash. *)
 
-val compact : t -> string -> unit
-(** Fold the live engine state [snapshot] into a new segment, then delete
-    all older ones, making restore cost proportional to live state rather
-    than journal length. Crash-safe: the snapshot is staged in a [.tmp]
+val compact : t -> string list -> unit
+(** [compact t parts] writes a new segment opening with a [Snapshot]
+    record whose payload is the concatenation of [parts], then deletes
+    all older segments, making restore cost proportional to the record
+    rather than to journal length. The parts are copied once, into the
+    framed record, which reaches storage in one append. Crash-safe: the snapshot is staged in a [.tmp]
     file, fsynced, atomically renamed, and the rename made durable with a
     directory fsync before any deletion — a crash anywhere leaves either
     the old segments intact or a valid new base. *)

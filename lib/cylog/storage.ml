@@ -18,26 +18,53 @@ end
 
 (* --- CRC-32 (IEEE 802.3) ---------------------------------------------------- *)
 
-let crc_table =
+(* Slicing-by-8 over native ints: table k (entries [256k .. 256k+255])
+   advances a byte's contribution through k further zero bytes, so one
+   step folds eight input bytes with eight lookups. Built on first use:
+   a process that never checksums never allocates the 16 KB. *)
+let crc_tables =
   lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+    (let t = Array.make (8 * 256) 0 in
+     for n = 0 to 255 do
+       let c = ref n in
+       for _ = 0 to 7 do
+         c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+       done;
+       t.(n) <- !c
+     done;
+     for k = 1 to 7 do
+       for n = 0 to 255 do
+         let prev = t.(((k - 1) * 256) + n) in
+         t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xff)
+       done
+     done;
+     t)
 
 let crc32_sub s ~pos ~len =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFFl in
-  for i = pos to pos + len - 1 do
-    let idx = Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code s.[i]))) 0xFFl) in
-    c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8)
+  if pos < 0 || len < 0 || pos > String.length s - len then invalid_arg "Storage.crc32_sub";
+  let t = Lazy.force crc_tables in
+  let byte i = Char.code (String.unsafe_get s i) in
+  let c = ref 0xFFFFFFFF in
+  let i = ref pos in
+  let words_end = pos + (len land lnot 7) in
+  while !i < words_end do
+    let p = !i in
+    let lo = !c lxor (byte p lor (byte (p + 1) lsl 8) lor (byte (p + 2) lsl 16) lor (byte (p + 3) lsl 24)) in
+    c :=
+      Array.unsafe_get t ((7 * 256) + (lo land 0xff))
+      lxor Array.unsafe_get t ((6 * 256) + ((lo lsr 8) land 0xff))
+      lxor Array.unsafe_get t ((5 * 256) + ((lo lsr 16) land 0xff))
+      lxor Array.unsafe_get t ((4 * 256) + (lo lsr 24))
+      lxor Array.unsafe_get t ((3 * 256) + byte (p + 4))
+      lxor Array.unsafe_get t ((2 * 256) + byte (p + 5))
+      lxor Array.unsafe_get t (256 + byte (p + 6))
+      lxor Array.unsafe_get t (byte (p + 7));
+    i := p + 8
   done;
-  Int32.logxor !c 0xFFFFFFFFl
+  for p = words_end to pos + len - 1 do
+    c := Array.unsafe_get t ((!c lxor byte p) land 0xff) lxor (!c lsr 8)
+  done;
+  Int32.of_int (!c lxor 0xFFFFFFFF)
 
 let crc32 s = crc32_sub s ~pos:0 ~len:(String.length s)
 

@@ -73,7 +73,8 @@ val crc32 : string -> int32
     the checksum guarding every journal record and snapshot payload. *)
 
 val crc32_sub : string -> pos:int -> len:int -> int32
-(** CRC-32 over a slice, avoiding the copy. *)
+(** CRC-32 over a slice, avoiding the copy.
+    @raise Invalid_argument when the slice is not inside the string. *)
 
 module Posix : S
 (** Real files via [Unix]: append-mode descriptors cached per path,

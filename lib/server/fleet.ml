@@ -144,23 +144,23 @@ type cert_view = {
   c_total_answers : Analysis.card;
 }
 
-let merge_certificates certs =
-  match certs with
+let merge_certificates inputs =
+  match inputs with
   | [] -> None
   | _ ->
       Some
         {
-          c_shards = List.length certs;
+          c_shards = List.length (List.sort_uniq Int.compare (List.map fst inputs));
           c_total_tasks =
             List.fold_left
-              (fun acc (c : Analysis.certificate) ->
+              (fun acc (_, (c : Analysis.certificate)) ->
                 card_add acc c.cert_total_tasks)
-              Analysis.Zero certs;
+              Analysis.Zero inputs;
           c_total_answers =
             List.fold_left
-              (fun acc (c : Analysis.certificate) ->
+              (fun acc (_, (c : Analysis.certificate)) ->
                 card_add acc c.cert_total_answers)
-              Analysis.Zero certs;
+              Analysis.Zero inputs;
         }
 
 type shard_input = {
@@ -221,7 +221,11 @@ let gather ~total_shards inputs =
     p99_ns = percentile latencies 0.99;
     metrics;
     monitor = merge_monitors monitors;
-    certificate = merge_certificates (List.map Engine.certificate engines);
+    certificate =
+      merge_certificates
+        (List.concat_map
+           (fun s -> List.map (fun e -> (s.s_id, Engine.certificate e)) s.s_engines)
+           inputs);
   }
 
 let card_json (c : Analysis.card) =

@@ -58,7 +58,9 @@ type cert_view = {
   c_total_answers : Analysis.card;
 }
 
-val merge_certificates : Analysis.certificate list -> cert_view option
+val merge_certificates : (int * Analysis.certificate) list -> cert_view option
+(** Sums the (shard id, slot certificate) pairs' bounds; [None] when
+    there are none. *)
 
 (** What one shard contributes to the gather — plain data, so this module
     depends only on the engine layer. *)

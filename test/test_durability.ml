@@ -61,7 +61,7 @@ let payloads (r : Journal.recovery) =
 let test_journal_roundtrip () =
   let sim = Sim.create () in
   let st = Sim.storage sim in
-  let j = Journal.create ~storage:st ~genesis:"G0" "j" in
+  let j = Journal.create ~storage:st ~genesis:[ "G0" ] "j" in
   List.iter (Journal.append j) [ "e1"; "e2"; "e3" ];
   Journal.close j;
   let j2, r = Journal.recover ~storage:st "j" in
@@ -76,7 +76,7 @@ let test_journal_roundtrip () =
   let _, r2 = Journal.recover ~storage:st "j" in
   Alcotest.(check string) "appended after recovery" "GEEEE" (shape r2);
   (* A directory already holding segments refuses a fresh create. *)
-  match Journal.create ~storage:st ~genesis:"G1" "j" with
+  match Journal.create ~storage:st ~genesis:[ "G1" ] "j" with
   | exception Journal.Error (Journal.Journal_exists _) -> ()
   | _ -> Alcotest.fail "create over an existing journal must be refused"
 
@@ -84,7 +84,7 @@ let test_journal_rotation () =
   let sim = Sim.create () in
   let st = Sim.storage sim in
   let config = { Journal.default_config with segment_bytes = 64 } in
-  let j = Journal.create ~config ~storage:st ~genesis:"G" "j" in
+  let j = Journal.create ~config ~storage:st ~genesis:[ "G" ] "j" in
   let entries = List.init 20 (Printf.sprintf "entry-%02d") in
   List.iter (Journal.append j) entries;
   let stats = Journal.stats j in
@@ -97,9 +97,9 @@ let test_journal_rotation () =
 let test_journal_compaction () =
   let sim = Sim.create () in
   let st = Sim.storage sim in
-  let j = Journal.create ~storage:st ~genesis:"G" "j" in
+  let j = Journal.create ~storage:st ~genesis:[ "G" ] "j" in
   List.iter (Journal.append j) [ "a"; "b"; "c"; "d" ];
-  Journal.compact j "SNAP";
+  Journal.compact j [ "SN"; ""; "AP" ];
   List.iter (Journal.append j) [ "e"; "f" ];
   Journal.close j;
   let j2, r = Journal.recover ~storage:st "j" in
@@ -114,7 +114,7 @@ let test_journal_compaction () =
 let test_torn_tail_truncated_then_idempotent () =
   let sim = Sim.create () in
   let st = Sim.storage sim in
-  let j = Journal.create ~storage:st ~genesis:"G" "j" in
+  let j = Journal.create ~storage:st ~genesis:[ "G" ] "j" in
   List.iter (Journal.append j) [ "a"; "b" ];
   Journal.close j;
   (* A torn write: the first 6 bytes of a valid record, then silence. *)
@@ -132,7 +132,7 @@ let test_torn_tail_truncated_then_idempotent () =
 let test_garbage_tail_truncated () =
   let sim = Sim.create () in
   let st = Sim.storage sim in
-  let j = Journal.create ~storage:st ~genesis:"G" "j" in
+  let j = Journal.create ~storage:st ~genesis:[ "G" ] "j" in
   Journal.append j "a";
   Journal.close j;
   let module St = (val st) in
@@ -158,7 +158,7 @@ let test_recover_edge_cases () =
      truncated — even at the tail — and always refused. *)
   let sim = Sim.create () in
   let st = Sim.storage sim in
-  let j = Journal.create ~storage:st ~genesis:"G" "j" in
+  let j = Journal.create ~storage:st ~genesis:[ "G" ] "j" in
   Journal.append j "a";
   Journal.close j;
   let module St = (val st) in
@@ -169,7 +169,7 @@ let test_recover_edge_cases () =
   (* A checksum-valid record of unknown kind is corruption, not a tear. *)
   let sim = Sim.create () in
   let st = Sim.storage sim in
-  let j = Journal.create ~storage:st ~genesis:"G" "j" in
+  let j = Journal.create ~storage:st ~genesis:[ "G" ] "j" in
   Journal.close j;
   let module St = (val st) in
   St.append (seg_path "j" 0) (frame ~kind:7 "what-am-i");
@@ -180,7 +180,7 @@ let test_recover_edge_cases () =
   let sim = Sim.create () in
   let st = Sim.storage sim in
   let config = { Journal.default_config with segment_bytes = 64 } in
-  let j = Journal.create ~config ~storage:st ~genesis:"G" "j" in
+  let j = Journal.create ~config ~storage:st ~genesis:[ "G" ] "j" in
   List.iter (Journal.append j) (List.init 20 (Printf.sprintf "entry-%02d"));
   let live = (Journal.stats j).Journal.segments in
   Alcotest.(check bool) "enough segments to punch a hole" true
@@ -465,6 +465,121 @@ let test_runner_composes_worker_and_storage_faults () =
       Alcotest.(check bool) "replayed a durable prefix" true (r.records_replayed >= 0))
     o.recoveries
 
+(* --- Checksums and the state payload ----------------------------------------- *)
+
+(* The bytewise CRC-32 loop over boxed [Int32]s that slicing-by-8
+   replaced, kept as the reference. *)
+let crc32_bytewise s ~pos ~len =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref (Int32.of_int n) in
+        for _ = 0 to 7 do
+          c :=
+            if Int32.logand !c 1l <> 0l then
+              Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+            else Int32.shift_right_logical !c 1
+        done;
+        !c)
+  in
+  let c = ref 0xFFFFFFFFl in
+  for i = pos to pos + len - 1 do
+    let idx =
+      Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code s.[i]))) 0xFFl)
+    in
+    c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8)
+  done;
+  Int32.logxor !c 0xFFFFFFFFl
+
+(* Random slices: any offset, any length, so every 0-7-byte tail after
+   the 8-byte steps comes up. *)
+let prop_crc32_matches_bytewise =
+  QCheck.Test.make ~name:"CRC-32 slicing-by-8 = bytewise reference" ~count:1000
+    QCheck.(triple (string_of_size Gen.(0 -- 200)) small_nat small_nat)
+    (fun (s, a, b) ->
+      let pos = a mod (String.length s + 1) in
+      let len = b mod (String.length s - pos + 1) in
+      Storage.crc32_sub s ~pos ~len = crc32_bytewise s ~pos ~len)
+
+let test_crc32 () =
+  Alcotest.(check int32) "check value CRC32(\"123456789\")" 0xCBF43926l
+    (Storage.crc32 "123456789");
+  Alcotest.(check int32) "empty string" 0l (Storage.crc32 "");
+  QCheck.Test.check_exn prop_crc32_matches_bytewise
+
+(* A genesis payload written before state payloads carried a version tag
+   was one bare Marshal image of the whole engine state. Recovery refuses
+   it with a typed error before unmarshalling anything, and a tag naming
+   another version the same way. *)
+let test_untagged_state_payload_refused () =
+  let refused label genesis =
+    let sim = Sim.create () in
+    let st = Sim.storage sim in
+    Journal.close (Journal.create ~storage:st ~genesis "j");
+    match Engine.recover ~storage:st "j" with
+    | exception Engine.Snapshot_error (Engine.Unsupported_version v) -> v
+    | exception e ->
+        Alcotest.failf "%s: expected Unsupported_version, got %s" label (Printexc.to_string e)
+    | _ -> Alcotest.failf "%s: the payload was restored" label
+  in
+  (* The leading fields of the untagged payload record: the two strategy
+     flags, then the program. *)
+  let untagged = Marshal.to_string (true, true, Parser.parse_exn "rules:\n  R(x:1);\n") [] in
+  Alcotest.(check int) "untagged Marshal image" 1 (refused "untagged" [ untagged ]);
+  Alcotest.(check int) "a later tag" 3 (refused "later" [ "CYLOG-STATE/\003"; untagged ])
+
+(* Recovery seeds the engine's encoded history from the base record, so
+   a recovered engine's compactions copy those chunks instead of encoding
+   the old history again. Recover mid-campaign, keep answering across
+   further compactions, recover a second time and finish: every engine
+   must end as the uninterrupted run does, under delta and rescan
+   evaluation alike. *)
+let monitored_reference =
+  lazy
+    (Tweetpecker.Runner.run ~seed:13 ~corpus:(Lazy.force corpus)
+       ~faults:Crowd.Faults.garble ~lease:Lease.default_config
+       ~policy:(Engine.Adaptive { tau = 0.9; min_votes = 2; max_votes = 5 })
+       ~monitor:Monitor.default_config variant)
+
+let derived_view m =
+  ( List.filter (fun (k, _) -> Engine.journal_derived k) (Telemetry.Metrics.counters m),
+    Telemetry.Metrics.histograms m )
+
+let test_recover_continue_recover () =
+  let entries = Engine.journal_entries (Lazy.force monitored_reference).engine in
+  let n = List.length entries in
+  let between a b = List.filteri (fun i _ -> i >= a && i < b) entries in
+  let config = { Journal.fsync = Journal.Always; segment_bytes = 2048; compact_every = Some 4 } in
+  let program = campaign_program () in
+  List.iter
+    (fun use_delta ->
+      let mode = if use_delta then "delta" else "rescan" in
+      let check what ok = Alcotest.(check bool) (mode ^ ": " ^ what) true ok in
+      let uninterrupted = Engine.load ~use_delta program in
+      List.iter (Engine.apply_entry uninterrupted) entries;
+      check "the reference campaign has a monitor" (Engine.monitor uninterrupted <> None);
+      let sim = Sim.create () in
+      let live = Engine.load ~use_delta program in
+      Engine.journal_start ~config ~storage:(Sim.storage sim) live "j";
+      List.iter (Engine.apply_entry live) (between 0 (n / 3));
+      let once, s1 = Engine.recover ~config ~storage:(Sim.storage sim) "j" in
+      check "the first recovery starts from a compaction" (s1.Engine.base_segment > 0);
+      List.iter (Engine.apply_entry once) (between (n / 3) (2 * n / 3));
+      check "the recovered engine compacts again"
+        ((Journal.stats (Option.get (Engine.durable_journal once))).Journal.compactions > 0);
+      let twice, s2 = Engine.recover ~config ~storage:(Sim.storage sim) "j" in
+      check "the second recovery starts from the recovered engine's compaction"
+        (s2.Engine.base_segment > s1.Engine.base_segment);
+      List.iter (Engine.apply_entry twice) (between (2 * n / 3) n);
+      check "same events" (engine_trace twice = engine_trace uninterrupted);
+      check "same journal" (Engine.journal_dump twice = Engine.journal_dump uninterrupted);
+      check "live registry = recount of the uninterrupted run"
+        (derived_view (Engine.metrics twice)
+        = derived_view (Engine.metrics_of_events (Engine.events uninterrupted)));
+      check "same monitor view"
+        (Option.map Monitor.view (Engine.monitor twice)
+        = Option.map Monitor.view (Engine.monitor uninterrupted)))
+    [ true; false ]
+
 let suite =
   [ ( "durability.journal",
       [ Alcotest.test_case "create/append/recover round-trip" `Quick
@@ -491,4 +606,10 @@ let suite =
       [ Alcotest.test_case "storage fault profiles survive end to end" `Slow
           test_runner_storage_fault_profiles;
         Alcotest.test_case "worker and storage faults compose" `Quick
-          test_runner_composes_worker_and_storage_faults ] ) ]
+          test_runner_composes_worker_and_storage_faults ] );
+    ( "durability.state",
+      [ Alcotest.test_case "CRC-32: check value and bytewise reference" `Quick test_crc32;
+        Alcotest.test_case "untagged state payload refused with a typed error" `Quick
+          test_untagged_state_payload_refused;
+        Alcotest.test_case "recover, continue, recover again across compactions" `Quick
+          test_recover_continue_recover ] ) ]

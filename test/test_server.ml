@@ -336,6 +336,22 @@ let test_lease_order () =
   Alcotest.(check bool) "no lease on a drained campaign" true (lease "w1" = None);
   Alcotest.(check bool) "not for a newcomer either" true (lease "w9" = None)
 
+(* --- Fleet certificate ------------------------------------------------------ *)
+
+(* The fleet certificate counts the shards contributing one, not the
+   (shard, campaign) slots: two shards holding three campaigns each are
+   two shards, while the bounds still sum over every slot. *)
+let test_certificate_counts_shards () =
+  let server = Server.create ~shards:2 () in
+  Fleet_sim.open_campaigns server
+    { Fleet_sim.default_config with campaigns = 3; items = 6 };
+  match (Server.stats server).Server.Fleet.certificate with
+  | None -> Alcotest.fail "no fleet certificate"
+  | Some c ->
+      Alcotest.(check int) "shards contributing a certificate" 2 c.Server.Fleet.c_shards;
+      Alcotest.(check string) "tasks summed over every slot" "<= 18"
+        (Analysis.card_to_string c.Server.Fleet.c_total_tasks)
+
 let suite =
   [ ( "server.router",
       [ Alcotest.test_case "hash and shard assignment are deterministic" `Quick
@@ -352,4 +368,7 @@ let suite =
           test_kill_and_recover_subset ] );
     ( "server.lease",
       [ Alcotest.test_case "oldest grantable task first, none when drained" `Quick
-          test_lease_order ] ) ]
+          test_lease_order ] );
+    ( "server.fleet",
+      [ Alcotest.test_case "certificate counts shards, not campaign slots" `Quick
+          test_certificate_counts_shards ] ) ]
