@@ -86,9 +86,8 @@ let answer_interactively engine (o : Cylog.Engine.open_tuple) =
 let save_checkpoint engine = function
   | None -> ()
   | Some path ->
-      let oc = open_out_bin path in
-      Cylog.Engine.snapshot engine oc;
-      close_out oc;
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc (Cylog.Engine.snapshot_string engine));
       Format.printf "checkpoint written to %s@." path
 
 let drive_engine interactive max_steps checkpoint engine =
@@ -205,20 +204,13 @@ let run_cmd interactive max_steps checkpoint metrics_out trace_out monitor_out
 
 let resume_cmd interactive max_steps checkpoint metrics_out trace_out path =
   let engine =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        try Cylog.Engine.restore ic with
-        | Cylog.Engine.Snapshot_error reason ->
-            prerr_endline (path ^ ": " ^ Cylog.Engine.snapshot_reason_to_string reason);
-            exit 1
-        | Cylog.Engine.Runtime_error m ->
-            prerr_endline (path ^ ": " ^ m);
-            exit 1
-        | Cylog.Lint.Rejected diags ->
-            List.iter (fun d -> prerr_endline (Cylog.Lint.render ~file:path d)) diags;
-            exit 1)
+    try Cylog.Engine.restore_string (In_channel.with_open_bin path In_channel.input_all) with
+    | Cylog.Engine.Snapshot_error reason ->
+        prerr_endline (path ^ ": " ^ Cylog.Engine.snapshot_reason_to_string reason);
+        exit 1
+    | Cylog.Engine.Runtime_error m ->
+        prerr_endline (path ^ ": " ^ m);
+        exit 1
   in
   Format.printf "restored %s (clock %d, %d events)@." path (Cylog.Engine.clock engine)
     (Cylog.Engine.event_count engine);
@@ -233,9 +225,6 @@ let recover_cmd interactive max_steps checkpoint metrics_out trace_out dir =
         exit 1
     | Cylog.Engine.Snapshot_error reason ->
         prerr_endline (dir ^ ": " ^ Cylog.Engine.snapshot_reason_to_string reason);
-        exit 1
-    | Cylog.Lint.Rejected diags ->
-        List.iter (fun d -> prerr_endline (Cylog.Lint.render ~file:dir d)) diags;
         exit 1
   in
   Format.printf
@@ -536,12 +525,7 @@ let repl_cmd file =
               dead);
         `Continue
     | [ ":snapshot"; path ] ->
-        (try
-           let oc = open_out_bin path in
-           Cylog.Engine.snapshot engine oc;
-           close_out oc;
-           Format.printf "checkpoint written to %s@." path
-         with Sys_error m -> print_endline m);
+        (try save_checkpoint engine (Some path) with Sys_error m -> print_endline m);
         `Continue
     | ":answer" :: id :: rest -> (
         match int_of_string_opt id with

@@ -98,11 +98,12 @@ let policy_cap = function Fixed k -> k | Adaptive a -> a.max_votes
 
 type vote = Vote_values of (string * Reldb.Value.t) list | Vote_exists of bool
 
-(* --- Journal (checkpoint/replay) ------------------------------------------- *)
+(* --- Journal ------------------------------------------------------------------ *)
 
-(* Every externally-triggered mutation is journaled; a snapshot is the
-   program plus this journal, and [restore] replays it through the public
-   API — determinism of the engine makes the replayed trace identical. *)
+(* Every externally-triggered mutation is journaled. Replaying the journal
+   through the public API onto the loaded program reproduces the trace —
+   the engine is deterministic — so a WAL needs only a state record plus
+   the entries since, and the whole journal is a script of the campaign. *)
 type jentry =
   | J_run of int
   | J_step
@@ -233,13 +234,13 @@ type t = {
   events : event Reldb.Dynarray.t;  (* chronological *)
   path_rels : (string, string list) Hashtbl.t;  (* path relation -> params *)
   views : Ast.view list;
-  program : Ast.program;  (* as loaded, for snapshots *)
+  program : Ast.program;  (* as loaded, for state records *)
   mutable leases : Lease.t option;  (* None: lease runtime off *)
   mutable quorum : quorum_state option;
   reputation : Quality.Model.t;
       (* online per-worker reliability, learnt from agreement with quorum
-         resolutions; derived state — rebuilt identically by journal
-         replay, never serialised *)
+         resolutions; serialised in every state record ([st_reputation]),
+         and updated by the entries replayed after it *)
   votes : (open_id, (Reldb.Value.t * vote) list) Hashtbl.t;  (* reverse *)
   mutable dead : (open_tuple * Lease.reason) list;  (* reverse *)
   mutable journal : jentry list;  (* reverse chronological *)
@@ -1634,8 +1635,8 @@ let set_monitor t cfg =
   journal t (J_set_monitor cfg);
   (* Backfill from the whole event log, so the live monitor always equals
      [Monitor.of_events cfg (events t)] no matter when it was installed —
-     and so snapshot replay and crash recovery (which re-run or re-derive
-     this entry) land on identical state. *)
+     and so journal replay and restore (which re-run or re-derive this
+     entry) land on identical state. *)
   t.monitor <- Option.map (fun c -> Monitor.of_events c (events t)) cfg
 
 let monitor t = t.monitor
@@ -1917,8 +1918,8 @@ let reliability_table t =
 
 (* Score one worker's agreement with the resolution and refresh their
    reliability gauge. Gauges are operational state, not journal-derived
-   (the model itself is rebuilt by replay), so the disabled path skips the
-   key allocation like the other engine-local metrics. *)
+   (the model itself is serialised in state records), so the disabled path
+   skips the key allocation like the other engine-local metrics. *)
 let observe_reputation t w ~agreed =
   let key = worker_key w in
   Quality.Model.observe t.reputation key ~agreed;
@@ -2481,7 +2482,7 @@ let path_table t game ~params =
         (fun i tuple -> Reldb.Tuple.set tuple "order" (Reldb.Value.Int (i + 1)))
         rows
 
-(* --- Checkpoint / replay ------------------------------------------------------- *)
+(* --- State errors and replay ------------------------------------------------ *)
 
 type snapshot_reason =
   | Not_a_snapshot
@@ -2501,66 +2502,19 @@ let snapshot_reason_to_string = function
 
 let snapshot_error r = raise (Snapshot_error r)
 
-(* Format: 17-byte magic, u32le payload length, u32le CRC-32 of the
-   payload, then the marshalled payload. The v1 format (magic only, no
-   length or checksum) is recognised and refused as [Unsupported_version]
-   rather than misread as garbage. *)
-let snapshot_magic = "CYLOG-SNAPSHOT/2\n"
-let snapshot_magic_v1 = "CYLOG-SNAPSHOT/1\n"
-
-let put_u32le b n =
-  Buffer.add_char b (Char.chr (n land 0xff));
-  Buffer.add_char b (Char.chr ((n lsr 8) land 0xff));
-  Buffer.add_char b (Char.chr ((n lsr 16) land 0xff));
-  Buffer.add_char b (Char.chr ((n lsr 24) land 0xff))
-
-let get_u32le s pos =
-  Char.code s.[pos]
-  lor (Char.code s.[pos + 1] lsl 8)
-  lor (Char.code s.[pos + 2] lsl 16)
-  lor (Char.code s.[pos + 3] lsl 24)
-
-type snapshot_payload = {
-  snap_use_delta : bool;
-  snap_use_planner : bool;
-  snap_program : Ast.program;
-  snap_journal : jentry list;  (* chronological *)
-}
-
-let snapshot_payload_string t =
-  Marshal.to_string
-    {
-      snap_use_delta = t.use_delta;
-      snap_use_planner = t.use_planner;
-      snap_program = t.program;
-      snap_journal = List.rev t.journal;
-    }
-    []
-
-let snapshot_string t =
-  let payload = snapshot_payload_string t in
-  let buf = Buffer.create (String.length payload + 32) in
-  Buffer.add_string buf snapshot_magic;
-  put_u32le buf (String.length payload);
-  put_u32le buf (Int32.to_int (Storage.crc32 payload) land 0xFFFFFFFF);
-  Buffer.add_string buf payload;
-  Buffer.contents buf
-
-let snapshot t oc = output_string oc (snapshot_string t)
-
-(* The journal alone (chronological), marshalled — unlike a snapshot it
+(* The journal alone (chronological), marshalled — unlike a checkpoint it
    carries no engine flags, so two engines driven by identical calls
    produce byte-identical dumps regardless of their evaluation strategy.
    The differential test suite uses this to prove the semi-naive engine
-   journals exactly what the naive engine does. *)
-(* No_sharing canonicalises the bytes: physical sharing between entries
-   is an accident of how the engine was driven (live campaign vs replay
-   vs recovery), and must not show up in a byte comparison. *)
+   journals exactly what the naive engine does. No_sharing canonicalises
+   the bytes: physical sharing between entries is an accident of how the
+   engine was driven (live campaign, replay, restore or recovery), and
+   must not show up in a byte comparison. *)
 let journal_dump t = Marshal.to_string (List.rev t.journal : jentry list) [ Marshal.No_sharing ]
 
 (* Replay through the public entry points so each entry re-journals itself:
-   a restored engine carries the same journal as the original and can be
-   snapshotted again. Answers that were rejected at capture time are
+   a recovered engine carries the same journal as the original and can be
+   checkpointed again. Answers that were rejected at capture time are
    rejected identically on replay, so results are deliberately ignored. *)
 let replay_entry t = function
   | J_run max_steps -> ignore (run ~max_steps t)
@@ -2576,64 +2530,7 @@ let replay_entry t = function
   | J_set_monitor cfg -> set_monitor t cfg
   | J_sample round -> ignore (monitor_sample t ~round)
 
-let restore_payload (p : snapshot_payload) =
-  (* The program was admitted when the snapshot was taken; restore must
-     not re-litigate lint policy (the restoring host may have stricter
-     defaults than the one that accepted it). *)
-  let t =
-    load ~lint:`Off ~use_delta:p.snap_use_delta ~use_planner:p.snap_use_planner
-      p.snap_program
-  in
-  List.iter (replay_entry t) p.snap_journal;
-  t
-
-let payload_of_frame s =
-  let n = String.length snapshot_magic in
-  let len = String.length s in
-  if len < n then
-    if String.equal s (String.sub snapshot_magic 0 len)
-       || String.equal s (String.sub snapshot_magic_v1 0 len)
-    then snapshot_error Truncated
-    else snapshot_error Not_a_snapshot
-  else if String.equal (String.sub s 0 n) snapshot_magic_v1 then
-    snapshot_error (Unsupported_version 1)
-  else if not (String.equal (String.sub s 0 n) snapshot_magic) then
-    snapshot_error Not_a_snapshot
-  else if len < n + 8 then snapshot_error Truncated
-  else
-    let plen = get_u32le s n in
-    let crc = get_u32le s (n + 4) in
-    if len < n + 8 + plen then snapshot_error Truncated
-    else
-      let payload = String.sub s (n + 8) plen in
-      if Int32.to_int (Storage.crc32 payload) land 0xFFFFFFFF <> crc then
-        snapshot_error Checksum_mismatch
-      else payload
-
-let unmarshal_snapshot payload : snapshot_payload =
-  try Marshal.from_string payload 0
-  with Failure _ | Invalid_argument _ -> snapshot_error Corrupt_payload
-
-let restore_string s = restore_payload (unmarshal_snapshot (payload_of_frame s))
-
-let restore ic =
-  let buf = Buffer.create 4096 in
-  (try
-     while true do
-       Buffer.add_channel buf ic 4096
-     done
-   with End_of_file ->
-     (* add_channel adds nothing on a short read; pick up the tail. *)
-     (try
-        let rec tail () =
-          Buffer.add_channel buf ic 1;
-          tail ()
-        in
-        tail ()
-      with End_of_file -> ()));
-  restore_string (Buffer.contents buf)
-
-(* --- Recovery (durable journal) --------------------------------------------- *)
+(* --- Restore: a journal's records -> an engine ------------------------------ *)
 
 (* The format version a state payload declares: the byte after the
    magic. Payloads from before the tag were one bare Marshal image of the
@@ -2765,6 +2662,32 @@ let restore_state payload =
     analysis_cache = None;
   }
 
+(* The engine a journal's records describe: the base state record
+   decoded, then each entry replayed through the public API. Both a
+   checkpoint file (one record) and a recovered WAL come through here.
+   Returns the engine and the number of entries replayed. *)
+let engine_of_records (records : Journal.record list) =
+  match records with
+  | { Journal.kind = Journal.Genesis | Journal.Snapshot; payload } :: entries ->
+      let t = restore_state payload in
+      List.iter
+        (fun (record : Journal.record) ->
+          match record.Journal.kind with
+          | Journal.Entry ->
+              let e : jentry =
+                try Marshal.from_string record.Journal.payload 0
+                with Failure _ | Invalid_argument _ -> snapshot_error Corrupt_payload
+              in
+              replay_entry t e
+          | Journal.Genesis | Journal.Snapshot ->
+              (* State records only ever open a run. *)
+              snapshot_error Corrupt_payload)
+        entries;
+      (t, List.length entries)
+  | _ -> snapshot_error Corrupt_payload
+
+(* --- Recovery (durable journal) --------------------------------------------- *)
+
 type recovery_stats = {
   base_segment : int;
   segments_scanned : int;
@@ -2774,43 +2697,19 @@ type recovery_stats = {
 
 let recover ?config ?storage dir =
   let j, (r : Journal.recovery) = Journal.recover ?config ?storage dir in
-  let base, entries =
-    match r.Journal.records with
-    | { Journal.kind = Journal.Genesis | Journal.Snapshot; payload } :: rest ->
-        (payload, rest)
-    | _ ->
-        (* Journal.recover guarantees the base record; anything else is a
-           corrupt journal. *)
-        raise (Journal.Error (Journal.No_valid_base dir))
-  in
   (* Replay before attaching the WAL: these entries are already durable,
      and replaying through the public API would otherwise re-append them. *)
-  let t = restore_state base in
-  let replayed = ref 0 in
-  List.iter
-    (fun (record : Journal.record) ->
-      match record.Journal.kind with
-      | Journal.Entry ->
-          incr replayed;
-          let e : jentry =
-            try Marshal.from_string record.Journal.payload 0
-            with Failure _ | Invalid_argument _ -> snapshot_error Corrupt_payload
-          in
-          replay_entry t e
-      | Journal.Genesis | Journal.Snapshot ->
-          (* State records only ever open the base segment. *)
-          snapshot_error Corrupt_payload)
-    entries;
+  let t, replayed = engine_of_records r.Journal.records in
   attach_journal t j;
   let m = Telemetry.metrics t.tel in
-  Telemetry.Metrics.incr m ~by:!replayed "recovery.records_replayed";
+  Telemetry.Metrics.incr m ~by:replayed "recovery.records_replayed";
   Telemetry.Metrics.incr m ~by:r.Journal.truncated_bytes "recovery.truncated_bytes";
   if Telemetry.tracing t.tel then
     Telemetry.emit t.tel "journal-recover"
       ~attrs:
         [
           ("base_segment", string_of_int r.Journal.base_segment);
-          ("records_replayed", string_of_int !replayed);
+          ("records_replayed", string_of_int replayed);
           ("truncated_bytes", string_of_int r.Journal.truncated_bytes);
         ]
       ~clock:t.clock;
@@ -2818,9 +2717,34 @@ let recover ?config ?storage dir =
     {
       base_segment = r.Journal.base_segment;
       segments_scanned = r.Journal.segments_scanned;
-      records_replayed = !replayed;
+      records_replayed = replayed;
       truncated_bytes = r.Journal.truncated_bytes;
     } )
+
+(* --- Checkpoint files ------------------------------------------------------- *)
+
+(* A checkpoint is the image of a one-segment journal whose only record
+   is the state record a compaction writes, so restoring one decodes
+   state instead of re-running the campaign. Files in the two retired
+   formats are refused by their magic, before anything else is read. *)
+let snapshot_string t = Journal.image (state_parts t)
+
+let restore_string s =
+  List.iter
+    (fun v ->
+      if String.starts_with ~prefix:(Printf.sprintf "CYLOG-SNAPSHOT/%d\n" v) s then
+        snapshot_error (Unsupported_version v))
+    [ 1; 2 ];
+  match Journal.of_image s with
+  | Ok records -> fst (engine_of_records records)
+  | Error e ->
+      snapshot_error
+        (match e with
+        | Journal.Not_an_image -> Not_a_snapshot
+        | Journal.Short_image -> Truncated
+        | Journal.Checksum_failed -> Checksum_mismatch
+        | Journal.Unknown_version v -> Unsupported_version v
+        | Journal.Unknown_kind -> Corrupt_payload)
 
 (* --- Journal as a replayable script ----------------------------------------- *)
 

@@ -165,7 +165,7 @@ val load : ?use_delta:bool -> ?use_planner:bool ->
     every step walks every statement in priority order and each one
     re-enumerates its whole join (the reference strategy —
     asymptotically slower but the differential-testing baseline), and
-    produces the same events, journal and snapshots byte for byte.
+    produces the same events and journal byte for byte.
 
     [use_planner] (default [true]) enables cost-based reordering of each
     statement body via {!Planner.plan}, with plans cached per statement
@@ -181,7 +181,14 @@ val database : t -> Reldb.Database.t
 (** The live database (shared, not a copy). Rows inserted, updated or
     deleted through it are seen at the next {!step}: every change bumps
     the relation's {!Reldb.Relation.generation}, which each step polls to
-    wake the statements that read it. *)
+    wake the statements that read it.
+
+    Such writes are not journaled. What persists them is a state record,
+    which carries the whole database: a checkpoint ({!snapshot_string})
+    taken after them keeps them, and so does every WAL genesis or
+    compaction record written after them. A WAL recovery ({!recover})
+    loses the rows written after its base record, because replaying the
+    entries since cannot reproduce them. *)
 
 val statements : t -> (Ast.statement * origin) list
 (** Effective statements in priority order. *)
@@ -292,8 +299,8 @@ val lease_config : t -> Lease.config option
 val set_quorum_policy : t -> ?relations:string list -> quorum_policy -> unit
 (** Install a redundant-assignment policy: eligible tasks (undesignated,
     non-repeatable, in [relations] if given) bank answers as votes until
-    the policy resolves them. Journaled, so restore and recovery reinstall
-    it.
+    the policy resolves them. Journaled and carried by every state
+    record, so restore and recovery reinstall it.
     @raise Runtime_error on an ill-formed adaptive config
     (needs [0 < tau <= 1] and [1 <= min_votes <= max_votes]). *)
 
@@ -304,8 +311,9 @@ val quorum_policy_of : t -> quorum_policy option
     The engine scores every voter on a resolved quorum task against the
     chosen answer ([Quality.Model]'s Beta-posterior reliability — also
     surfaced as [quality.reliability.worker.*] per-mille gauges). The
-    model is derived state: journal replay ({!restore}) rebuilds it
-    observation for observation. *)
+    model is part of the live state that checkpoints and WAL state
+    records carry; entries replayed after a state record update it
+    observation for observation, as the live engine did. *)
 
 val worker_reliability : t -> Reldb.Value.t -> float
 (** Estimated accuracy of a worker (the prior mean if never scored). *)
@@ -396,8 +404,9 @@ val metrics_of_events : event list -> Telemetry.Metrics.t
     engine whose registry stayed enabled for the whole run, the
     {!journal_derived} subset of the live registry equals
     [metrics_of_events (events t)] — the invariant the telemetry
-    differential tests pin down, and what makes [snapshot]/[restore]
-    reproduce identical counters. *)
+    differential tests pin down, and what lets {!restore_string} and
+    {!recover} rebuild identical counters by recounting the restored
+    events. *)
 
 val journal_derived : string -> bool
 (** Whether a metric name is recomputable from {!events} (as opposed to
@@ -409,8 +418,8 @@ val journal_derived : string -> bool
     The cost/latency/quality dashboard of a running campaign — see
     {!Cylog.Monitor} for the series and alert catalogue. The monitor is
     {e derived} state: installing one backfills it by folding the whole
-    event log, snapshots never serialise it, and restore/recovery rebuild
-    it from the replayed events — so
+    event log, state records never serialise it, and restore/recovery
+    rebuild it by folding the restored events — so
     [Monitor.view (Option.get (monitor t))] always equals
     [Monitor.view (Monitor.of_events cfg (events t))]. *)
 
@@ -456,65 +465,64 @@ val path_table : t -> string -> params:(string * Reldb.Value.t) list -> Reldb.Tu
 (** The path table of one game instance, in play order, with the per-
     instance [order] column renumbered from 1 as in Figure 6. *)
 
-(** {1 Checkpoint / replay}
+(** {1 Checkpoints}
 
-    A snapshot is the loaded program plus the journal of every
-    externally-triggered mutation ([run]/[step]/[supply]/
-    [answer_existence]/[decline]/[assign]/[reclaim]/[add_statement]/
-    [set_lease_config]/[set_quorum_policy]/[set_monitor]/
-    [monitor_sample], in order). [restore] replays the
-    journal through the public API; because evaluation is deterministic
-    the restored engine reproduces the original event trace byte for byte
-    and can itself be snapshotted again. The format is the
-    ["CYLOG-SNAPSHOT/2\n"] magic, the payload length and its CRC-32
-    (little-endian u32 each), then the marshalled payload — so corruption,
-    truncation and version skew are each detected and reported as a typed
-    {!Snapshot_error} instead of an arbitrary [Marshal] failure.
-
-    The program and the journal are the engine's only inputs, so they are
-    all a snapshot needs: the quorum policy ([Fixed] or [Adaptive], with
-    its scope and thresholds) and the monitor config replay from the
-    journal, the builtins are the default registry, and worker reputation
-    and the budget certificate are derived state, rebuilt byte for byte. *)
+    A checkpoint is the image of a one-segment {!Journal} whose only
+    record is the state record a compaction writes (see the next
+    section): the program, the live state and the history chunks.
+    [restore_string] parses it with the journal's record parser,
+    strictly (a torn or bad record is an error, never truncated), and
+    rebuilds the engine with the code {!recover} runs after
+    {!Journal.recover}. The state is decoded, not re-run, so a restore
+    costs O(checkpoint) however long the campaign was. The restored
+    engine has the original's events, journal, database (rows written
+    through {!database} included), pending pool and reputation; it
+    continues the campaign with the same trace and checkpoints again to
+    the same bytes. The builtins are the default registry; the monitor,
+    the {!journal_derived} counters and the budget certificate are
+    rebuilt from the restored events and program. *)
 
 type snapshot_reason =
-  | Not_a_snapshot  (** the magic does not open any snapshot format *)
+  | Not_a_snapshot  (** the bytes do not open a checkpoint image *)
   | Unsupported_version of int
-      (** a CyLog snapshot or WAL state payload, but from an incompatible
-          format version: a pre-checksum v1 checkpoint, or a genesis or
-          compaction payload written before state payloads carried a
-          version tag (version 1). Refused before any byte is
+      (** a CyLog checkpoint or WAL state payload, but from an
+          incompatible format version: a file in one of the two retired
+          checkpoint formats (versions 1 and 2, named by their magic), a
+          record of another version, or a state payload with another
+          version tag — an untagged one, written before state payloads
+          carried a tag, is version 1. Refused before any byte is
           unmarshalled. *)
-  | Truncated  (** shorter than its header or declared payload length *)
-  | Checksum_mismatch  (** framing intact but the payload CRC disagrees *)
-  | Corrupt_payload  (** checksum passed yet unmarshalling failed *)
+  | Truncated  (** the image ends inside its header or a record, or holds none *)
+  | Checksum_mismatch  (** a record fails its CRC-32 or frames an impossible length *)
+  | Corrupt_payload
+      (** checksum passed yet the record's kind is unknown or its payload
+          fails to unmarshal *)
 
 exception Snapshot_error of snapshot_reason
-(** Raised by {!restore}, {!restore_string} and {!recover} instead of
-    reading bytes whose format they do not know. *)
+(** Raised by {!restore_string} and {!recover} instead of reading bytes
+    whose format they do not know. *)
 
 val snapshot_reason_to_string : snapshot_reason -> string
 
-val snapshot : t -> out_channel -> unit
-
 val snapshot_string : t -> string
+(** The engine's checkpoint image. Like a compaction, it marshals the
+    live state and the history since the last state record, and copies
+    the rest from the strings the engine kept. *)
 
 val journal_dump : t -> string
 (** The journal alone (chronological), marshalled without sharing so the
     bytes are canonical: two engines holding logically equal journals
-    produce byte-identical dumps whether they were driven live, replayed
-    from a snapshot, or recovered from a WAL. Unlike {!snapshot_string}
+    produce byte-identical dumps whether they were driven live, restored
+    from a checkpoint, or recovered from a WAL. Unlike {!snapshot_string}
     it carries no engine flags — the comparison surface for the
     differential tests pitting semi-naive delta evaluation against full
     rescans, and for the crash-point harness's prefix checks. *)
 
-val restore : in_channel -> t
-(** @raise Snapshot_error on a corrupt, truncated or version-skewed
-    snapshot. *)
-
 val restore_string : string -> t
-(** @raise Snapshot_error on a corrupt, truncated or version-skewed
-    snapshot. *)
+(** Rebuild the engine a checkpoint image holds. Never lints: the program
+    was admitted when it was loaded.
+    @raise Snapshot_error on a corrupt, truncated or version-skewed
+    image. *)
 
 (** {1 Durable journal (WAL) and crash recovery}
 
@@ -600,4 +608,4 @@ val journal_entries : t -> journal_entry list
 
 val apply_entry : t -> journal_entry -> unit
 (** Re-apply one entry through the public API (re-journaling it, exactly
-    like {!restore}'s replay). *)
+    as {!recover} replays the entries after its base). *)

@@ -90,37 +90,35 @@ let frame ?segment kind parts =
 
 (* How a sequential parse of a segment's record run ends. [Torn] means the
    bytes from [offset] on do not frame a checksum-valid record — truncatable
-   when they are the tail of the final segment, fatal anywhere else.
-   [Bad_version] and [Bad_kind] are checksum-valid and therefore never
-   explainable as a torn write; they are fatal everywhere. *)
+   when they are the tail of the final segment, fatal anywhere else; it is
+   [short] when the bytes end inside the record's frame. [Bad_version] and
+   [Bad_kind] are checksum-valid and therefore never explainable as a torn
+   write; they are fatal everywhere. *)
 type parse_end =
   | Clean
-  | Torn of { offset : int; reason : string }
+  | Torn of { offset : int; reason : string; short : bool }
   | Bad_version of { offset : int; version : int }
   | Bad_kind of { offset : int; byte : int }
 
 (* One record starting at [pos]: the parsed record and the next offset,
    or how the run ends there. Base selection during recovery probes only
-   the first record of a candidate segment, so the step is exposed
-   separately from the full scan. *)
+   the first record of a candidate segment, and the scan continues from
+   the probe's step. *)
 type parse_step = Record of record * int | Run_end of parse_end
 
 let parse_record contents pos =
   let len = String.length contents in
+  let torn reason short = Run_end (Torn { offset = pos; reason; short }) in
   if pos = len then Run_end Clean
-  else if len - pos < 8 then
-    Run_end (Torn { offset = pos; reason = "incomplete record frame" })
+  else if len - pos < 8 then torn "incomplete record frame" true
   else
     let rlen = get_u32le contents pos in
-    if rlen < 2 then
-      Run_end (Torn { offset = pos; reason = "impossible record length" })
-    else if pos + 8 + rlen > len then
-      Run_end (Torn { offset = pos; reason = "record extends past end of segment" })
+    if rlen < 2 then torn "impossible record length" false
+    else if pos + 8 + rlen > len then torn "record extends past end of segment" true
     else
       let stored = get_u32le contents (pos + 4) in
       let actual = crc_int (Storage.crc32_sub contents ~pos:(pos + 8) ~len:rlen) in
-      if stored <> actual then
-        Run_end (Torn { offset = pos; reason = "checksum mismatch" })
+      if stored <> actual then torn "checksum mismatch" false
       else
         let version = Char.code contents.[pos + 8] in
         if version <> record_version then
@@ -140,13 +138,11 @@ let parse_record contents pos =
               let payload = String.sub contents (pos + 10) (rlen - 2) in
               Record ({ kind; payload }, pos + 8 + rlen)
 
-let parse_records contents =
-  let rec go pos acc =
-    match parse_record contents pos with
-    | Record (r, next) -> go next (r :: acc)
-    | Run_end ending -> (List.rev acc, ending)
-  in
-  go header_len []
+(* The run from [step] (the first record's) to its end. *)
+let rec parse_run contents step acc =
+  match step with
+  | Record (r, next) -> parse_run contents (parse_record contents next) (r :: acc)
+  | Run_end ending -> (List.rev acc, ending)
 
 (* --- Handle ----------------------------------------------------------------- *)
 
@@ -383,39 +379,46 @@ let recover ?config ?storage dir =
     St.list_dir dir |> List.filter_map seg_index |> List.sort_uniq compare |> ref
   in
   if !segs = [] then raise (Error (No_segments dir));
+  (* Each segment is read, and its first record checksummed, at most once:
+     the header check, the base probe and the scan share the result —
+     [None] for a header that is not the segment's own. *)
+  let opened = Hashtbl.create 4 in
+  let open_segment index =
+    match Hashtbl.find_opt opened index with
+    | Some o -> o
+    | None ->
+        let contents = St.read_file (seg_path t index) in
+        let first =
+          if header_valid contents index then Some (parse_record contents header_len)
+          else None
+        in
+        Hashtbl.replace opened index (contents, first);
+        (contents, first)
+  in
   (* Trailing segments whose header never became durable are the remains of
      a crashed rotation: drop them, exposing the previous (fsynced-at-
      rotation) segment as the append tail. *)
   let rec drop_headerless () =
     match List.rev !segs with
-    | last :: (_ :: _ as rest_rev) ->
-        let path = seg_path t last in
-        let contents = St.read_file path in
-        if not (header_valid contents last) then begin
-          truncated := !truncated + String.length contents;
-          St.delete path;
-          segs := List.rev rest_rev;
-          drop_headerless ()
-        end
+    | last :: (_ :: _ as rest_rev) -> (
+        match open_segment last with
+        | contents, None ->
+            truncated := !truncated + String.length contents;
+            St.delete (seg_path t last);
+            segs := List.rev rest_rev;
+            drop_headerless ()
+        | _, Some _ -> ())
     | _ -> ()
   in
   drop_headerless ();
   (* The recovery base is the greatest segment opening with a durable
-     Genesis/Snapshot record; anything older is superseded. Only the
-     first record of a candidate is probed — the full scan comes later,
-     once, per surviving segment. *)
-  let first_record_kind index =
-    let contents = St.read_file (seg_path t index) in
-    if not (header_valid contents index) then None
-    else match parse_record contents header_len with
-      | Record (r, _) -> Some r.kind
-      | Run_end _ -> None
-  in
+     Genesis/Snapshot record; anything older is superseded and never
+     read. *)
   let base =
     match
       List.find_opt
-        (fun i -> match first_record_kind i with
-          | Some (Genesis | Snapshot) -> true
+        (fun i -> match open_segment i with
+          | _, Some (Record ({ kind = Genesis | Snapshot; _ }, _)) -> true
           | _ -> false)
         (List.rev !segs)
     with
@@ -439,10 +442,15 @@ let recover ?config ?storage dir =
   List.iter
     (fun index ->
       let path = seg_path t index in
-      let contents = St.read_file path in
-      if not (header_valid contents index) then
-        raise (Error (Corrupt_record { segment = path; offset = 0; reason = "bad segment header" }));
-      let recs, ending = parse_records contents in
+      let contents, first = open_segment index in
+      Hashtbl.remove opened index;
+      let recs, ending =
+        match first with
+        | Some step -> parse_run contents step []
+        | None ->
+            raise
+              (Error (Corrupt_record { segment = path; offset = 0; reason = "bad segment header" }))
+      in
       (match ending with
       | Clean -> ()
       | Bad_version { offset; version } ->
@@ -452,7 +460,7 @@ let recover ?config ?storage dir =
             (Error
                (Corrupt_record
                   { segment = path; offset; reason = Printf.sprintf "unknown record kind %d" byte }))
-      | Torn { offset; reason } ->
+      | Torn { offset; reason; _ } ->
           if index = last then begin
             (* The torn tail of the final segment is the crash frontier:
                cut back to the last valid record boundary. *)
@@ -479,3 +487,28 @@ let recover ?config ?storage dir =
       segments_scanned = List.length segs;
       truncated_bytes = !truncated;
     } )
+
+(* --- Images ----------------------------------------------------------------- *)
+
+let image parts = frame ~segment:0 Snapshot parts
+
+type image_error =
+  | Not_an_image
+  | Short_image
+  | Checksum_failed
+  | Unknown_version of int
+  | Unknown_kind
+
+(* Recovery's parse without its repairs: a torn record is an error, never
+   a tail to cut. *)
+let of_image s =
+  if not (header_valid s 0) then
+    Result.Error
+      (if String.starts_with ~prefix:s (segment_header 0) then Short_image else Not_an_image)
+  else
+    match parse_run s (parse_record s header_len) [] with
+    | [], Clean -> Result.Error Short_image
+    | records, Clean -> Ok records
+    | _, Torn { short; _ } -> Result.Error (if short then Short_image else Checksum_failed)
+    | _, Bad_version { version; _ } -> Result.Error (Unknown_version version)
+    | _, Bad_kind _ -> Result.Error Unknown_kind

@@ -153,8 +153,27 @@ val recover :
     appending plus the surviving records. Recovery mutates storage only
     to discard — never to invent — bytes, so [recover] after [recover]
     is a no-op reporting zero truncated bytes.
+    Each surviving segment is read once, and each record checksummed
+    once: the base probe's bytes and first record are reused by the scan.
     @raise Error on an empty directory, a segment gap, a corrupt
     non-final record, or an unsupported record version. *)
+
+(** {1 Images: a one-segment journal in a string (a checkpoint file)} *)
+
+val image : string list -> string
+(** Segment 0's header and one [Snapshot] record whose payload is the
+    concatenation of the parts — the record {!compact} writes. *)
+
+type image_error =
+  | Not_an_image  (** no segment 0 header *)
+  | Short_image  (** ends inside the header or a record, or holds none *)
+  | Checksum_failed  (** a record fails its CRC or frames an impossible length *)
+  | Unknown_version of int  (** a checksum-valid record of another version *)
+  | Unknown_kind  (** a checksum-valid record of no known kind *)
+
+val of_image : string -> (record list, image_error) result
+(** The records of an image, parsed as {!recover} parses a segment but
+    strictly: a torn or bad record is an error, never truncated. *)
 
 (** {1 Introspection} *)
 

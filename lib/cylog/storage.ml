@@ -66,8 +66,6 @@ let crc32_sub s ~pos ~len =
   done;
   Int32.of_int (!c lxor 0xFFFFFFFF)
 
-let crc32 s = crc32_sub s ~pos:0 ~len:(String.length s)
-
 (* --- POSIX files ------------------------------------------------------------ *)
 
 module Posix : S = struct

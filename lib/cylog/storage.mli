@@ -68,12 +68,9 @@ module type S = sig
   (** Drop any cached handle for the path (flushing buffered bytes). *)
 end
 
-val crc32 : string -> int32
-(** CRC-32 (IEEE 802.3, polynomial 0xEDB88320) over the whole string —
-    the checksum guarding every journal record and snapshot payload. *)
-
 val crc32_sub : string -> pos:int -> len:int -> int32
-(** CRC-32 over a slice, avoiding the copy.
+(** CRC-32 (IEEE 802.3, polynomial 0xEDB88320) over a slice, without
+    copying it — the checksum guarding every journal record.
     @raise Invalid_argument when the slice is not inside the string. *)
 
 module Posix : S

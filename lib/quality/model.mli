@@ -15,9 +15,11 @@
     worker's weight down faster than agreement rebuilds it.
 
     State is mutable but fully determined by the sequence of {!observe}
-    calls, so a model rebuilt by replaying the same events (e.g. during
-    {!Cylog.Engine.restore}) is structurally identical — what the
-    snapshot differential tests pin down via {!to_assoc}. *)
+    calls, so replaying the same events gives a structurally identical
+    model. The engine serialises its model in every checkpoint and WAL
+    state record, and replays only the entries written after one
+    ({!Cylog.Engine.recover}); the restore and recovery tests compare
+    the result with the live engine's. *)
 
 type t
 

@@ -3,8 +3,10 @@
 #   - `run --journal DIR --checkpoint FILE` exits 0 and dumps the database;
 #   - `recover DIR` and `resume FILE` each exit 0 and print the same
 #     "database at fixpoint:" dump as that first run;
-#   - `resume` on a file that is not a snapshot exits 1 with the typed
-#     reason.
+#   - `resume FILE --checkpoint FILE2` checkpoints the restored engine,
+#     and `resume FILE2` prints that dump again;
+#   - `resume` on a file that is not a checkpoint, or is one in the
+#     retired `CYLOG-SNAPSHOT/2` format, exits 1 with the typed reason.
 set -u
 CYLOG="$1"
 PROGRAM="$2"
@@ -33,8 +35,8 @@ if ! grep -q '^database at fixpoint:$' "$work/run.db"; then
   fail "run printed no database dump"
 fi
 
-for cmd in "recover $work/j" "resume $work/ck"; do
-  # $cmd is split on purpose: subcommand, then its path.
+for cmd in "recover $work/j" "resume $work/ck --checkpoint $work/ck2" "resume $work/ck2"; do
+  # $cmd is split on purpose: subcommand, its path, then any options.
   $CYLOG $cmd >"$work/out" 2>&1
   code=$?
   if [ "$code" -ne 0 ]; then
@@ -45,15 +47,22 @@ for cmd in "recover $work/j" "resume $work/ck"; do
   fi
 done
 
+# refused FILE REASON: `resume FILE` exits 1 and prints REASON.
+refused() {
+  out=$("$CYLOG" resume "$1" 2>&1)
+  code=$?
+  if [ "$code" -ne 1 ]; then
+    fail "resume $1: exit $code, expected 1"
+  fi
+  case "$out" in
+    *"$2"*) ;;
+    *) fail "resume $1 printed: $out" ;;
+  esac
+}
+
 printf 'not a snapshot\n' >"$work/garbage"
-out=$("$CYLOG" resume "$work/garbage" 2>&1)
-code=$?
-if [ "$code" -ne 1 ]; then
-  fail "resume on garbage: exit $code, expected 1"
-fi
-case "$out" in
-  *"not a CyLog snapshot (bad magic)"*) ;;
-  *) fail "resume on garbage printed: $out" ;;
-esac
+refused "$work/garbage" "not a CyLog snapshot (bad magic)"
+printf 'CYLOG-SNAPSHOT/2\n\020\000\000\000payload' >"$work/old"
+refused "$work/old" "unsupported snapshot format version 2"
 
 exit $status

@@ -839,12 +839,20 @@ let prop_semantics_delta_equals_naive_with_humans =
 
 (* --- Snapshot / replay differential --------------------------------------- *)
 
-(* Checkpoint/recovery is event-sourced: a snapshot is the program plus
-   the API-call journal, and restore replays the journal through the very
-   same public entry points. So for ANY driving sequence — machine steps,
-   human answers, declines — the restored engine must reproduce the event
-   trace exactly, and re-snapshotting it must give back the same bytes
-   (the replayed journal is the journal). *)
+(* A checkpoint holds the decoded state, so for ANY driving sequence —
+   machine steps, human answers, declines — the restored engine must
+   carry the event trace exactly, and re-checkpointing it must give back
+   the same bytes. The journal is also a complete script of the
+   campaign: replaying all of it through the public entry points onto a
+   fresh load of the program must rebuild the same events and journal.
+   Restore decodes state rather than replaying, so these cases are the
+   checks of that on random programs and TweetPecker campaigns. *)
+let journal_replays ?lint program engine =
+  let replayed = Engine.load ?lint program in
+  List.iter (Engine.apply_entry replayed) (Engine.journal_entries engine);
+  Engine.events replayed = Engine.events engine
+  && Engine.journal_dump replayed = Engine.journal_dump engine
+
 let drive_engine_with_canonical_human program =
   (* Deliberate open cycle in [with_open_rule]; see above. *)
   let engine = Engine.load ~lint:`Off program in
@@ -861,7 +869,8 @@ let prop_snapshot_replay_is_trace_identical =
       let restored = Engine.restore_string snap in
       engine_trace restored = engine_trace engine
       && db_facts (Engine.database restored) = db_facts (Engine.database engine)
-      && Engine.snapshot_string restored = snap)
+      && Engine.snapshot_string restored = snap
+      && journal_replays ~lint:`Off program engine)
 
 let test_tweetpecker_snapshot_replay () =
   List.iter
@@ -876,7 +885,13 @@ let test_tweetpecker_snapshot_replay () =
       Alcotest.(check bool) (name ^ ": database identical") true
         (db_facts (Engine.database restored) = db_facts (Engine.database o.engine));
       Alcotest.(check bool) (name ^ ": re-snapshot byte-identical") true
-        (Engine.snapshot_string restored = snap))
+        (Engine.snapshot_string restored = snap);
+      let program =
+        Tweetpecker.Programs.program variant ~corpus:o.corpus
+          ~workers:(List.map (fun (w : Crowd.Worker.profile) -> w.name) o.workers)
+      in
+      Alcotest.(check bool) (name ^ ": the whole journal replays") true
+        (journal_replays program o.engine))
     Tweetpecker.Programs.[ VE; VEI; VRE; VREI ]
 
 (* Restore under an adaptive quorum: the policy is journaled data, the

@@ -1,5 +1,5 @@
 (* Crash-consistent durability: the segmented WAL (Cylog.Journal) over
-   fault-injecting storage (Cylog.Storage.Sim), snapshot v2 framing, and
+   fault-injecting storage (Cylog.Storage.Sim), checkpoint images, and
    the crash-point harness — a crash at every storage operation of a
    faulted adaptive-quorum campaign must recover to a valid prefix of the
    original journal, and re-driving the lost tail must reproduce the
@@ -25,6 +25,8 @@ let rec drop_n n xs =
 
 (* --- Raw framing (mirrors journal.ml, for tampering with segments) --------- *)
 
+let crc32 s = Storage.crc32_sub s ~pos:0 ~len:(String.length s)
+
 let put_u32le b n =
   Buffer.add_char b (Char.chr (n land 0xff));
   Buffer.add_char b (Char.chr ((n lsr 8) land 0xff));
@@ -38,7 +40,7 @@ let frame ?(version = 1) ?(kind = 1) payload =
   let body = Printf.sprintf "%c%c%s" (Char.chr version) (Char.chr kind) payload in
   let b = Buffer.create (8 + String.length body) in
   put_u32le b (String.length body);
-  put_u32le b (Int32.to_int (Storage.crc32 body) land 0xFFFFFFFF);
+  put_u32le b (Int32.to_int (crc32 body) land 0xFFFFFFFF);
   Buffer.add_string b body;
   Buffer.contents b
 
@@ -193,7 +195,7 @@ let test_recover_edge_cases () =
       Alcotest.(check int) "the hole is named" (List.nth live 1) index
   | _ -> Alcotest.fail "a segment gap must raise Missing_segment"
 
-(* --- Snapshot v2 framing ---------------------------------------------------- *)
+(* --- Checkpoint images -------------------------------------------------------- *)
 
 let mini_engine () =
   match Parser.parse "schema:\n  R(x key, y);\nrules:\n  R(x:1, y:2);\n" with
@@ -202,25 +204,38 @@ let mini_engine () =
 
 let test_snapshot_header_errors () =
   let snap = Engine.snapshot_string (mini_engine ()) in
-  (* Round-trip sanity first: the untouched snapshot restores. *)
+  (* Round-trip sanity first: the untouched checkpoint restores. *)
   ignore (Engine.restore_string snap);
-  (* Any proper prefix — mid-magic or mid-payload — is Truncated. *)
-  List.iter
-    (fun cut ->
-      match Engine.restore_string (String.sub snap 0 cut) with
-      | exception Engine.Snapshot_error Engine.Truncated -> ()
-      | exception e ->
-          Alcotest.failf "cut %d: expected Truncated, got %s" cut (Printexc.to_string e)
-      | _ -> Alcotest.failf "cut %d: truncated snapshot restored" cut)
-    [ 5; 20; String.length snap - 1 ];
-  (* A flipped payload byte fails the checksum, not the unmarshaller. *)
-  let b = Bytes.of_string snap in
-  let i = String.length snap - 1 in
-  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0xFF));
-  match Engine.restore_string (Bytes.to_string b) with
-  | exception Engine.Snapshot_error Engine.Checksum_mismatch -> ()
-  | exception e -> Alcotest.failf "expected Checksum_mismatch, got %s" (Printexc.to_string e)
-  | _ -> Alcotest.fail "corrupt snapshot restored"
+  let refused what input check =
+    match Engine.restore_string input with
+    | exception Engine.Snapshot_error r ->
+        if not (check r) then
+          Alcotest.failf "%s: unexpected reason %s" what (Engine.snapshot_reason_to_string r)
+    | exception e -> Alcotest.failf "%s: expected Snapshot_error, got %s" what (Printexc.to_string e)
+    | _ -> Alcotest.failf "%s: restored" what
+  in
+  (* Any proper prefix — mid-header, mid-frame or mid-payload — is
+     Truncated. *)
+  for cut = 0 to String.length snap - 1 do
+    refused (Printf.sprintf "cut %d" cut) (String.sub snap 0 cut) (( = ) Engine.Truncated)
+  done;
+  (* The decode is strict: bytes after the record are a torn record to
+     refuse, not a tail to cut off. *)
+  refused "trailing byte" (snap ^ "\x00") (( = ) Engine.Truncated);
+  (* Every single-byte flip is refused with the reason its field gives:
+     the 16-byte segment header is no checkpoint's; a record length may
+     now reach past the end or cut the checksummed bytes short; anything
+     after it (CRC, version, kind, payload) fails the checksum, never the
+     unmarshaller. *)
+  String.iteri
+    (fun i c ->
+      let b = Bytes.of_string snap in
+      Bytes.set b i (Char.chr (Char.code c lxor 0xFF));
+      refused (Printf.sprintf "flip %d" i) (Bytes.to_string b) (fun r ->
+          if i < 16 then r = Engine.Not_a_snapshot
+          else if i < 20 then r = Engine.Truncated || r = Engine.Checksum_mismatch
+          else r = Engine.Checksum_mismatch))
+    snap
 
 (* --- The crash-point harness ------------------------------------------------ *)
 
@@ -502,8 +517,8 @@ let prop_crc32_matches_bytewise =
 
 let test_crc32 () =
   Alcotest.(check int32) "check value CRC32(\"123456789\")" 0xCBF43926l
-    (Storage.crc32 "123456789");
-  Alcotest.(check int32) "empty string" 0l (Storage.crc32 "");
+    (crc32 "123456789");
+  Alcotest.(check int32) "empty string" 0l (crc32 "");
   QCheck.Test.check_exn prop_crc32_matches_bytewise
 
 (* A genesis payload written before state payloads carried a version tag
@@ -580,6 +595,41 @@ let test_recover_continue_recover () =
         = Option.map Monitor.view (Engine.monitor uninterrupted)))
     [ true; false ]
 
+(* Recovery reads each surviving segment once: the base probe's bytes
+   are the scan's. Compact a campaign's journal, let it rotate past the
+   compaction, and count [read_file] calls under [Engine.recover]. *)
+let test_recover_reads_each_segment_once () =
+  let entries = Engine.journal_entries (Lazy.force reference).engine in
+  let config = { Journal.fsync = Journal.Always; segment_bytes = 4096; compact_every = None } in
+  let sim = Sim.create () in
+  let live = Engine.load (campaign_program ()) in
+  Engine.journal_start ~config ~storage:(Sim.storage sim) live "j";
+  let n = List.length entries in
+  List.iteri (fun i e -> if i < n / 2 then Engine.apply_entry live e) entries;
+  Engine.compact_journal live;
+  List.iteri (fun i e -> if i >= n / 2 then Engine.apply_entry live e) entries;
+  let j = Option.get (Engine.durable_journal live) in
+  let segments = (Journal.stats j).Journal.segments in
+  Journal.close j;
+  Alcotest.(check bool) "the compaction's segment rotated" true (List.length segments >= 2);
+  let reads = ref 0 in
+  let counting =
+    let module B = (val Sim.storage sim) in
+    (module struct
+      include B
+
+      let read_file p =
+        incr reads;
+        B.read_file p
+    end : Storage.S)
+  in
+  let recovered, stats = Engine.recover ~config ~storage:counting "j" in
+  Alcotest.(check int) "recovery starts from the compaction" (List.hd segments)
+    stats.Engine.base_segment;
+  Alcotest.(check int) "one read per surviving segment" (List.length segments) !reads;
+  Alcotest.(check bool) "same journal" true
+    (Engine.journal_dump recovered = Engine.journal_dump live)
+
 let suite =
   [ ( "durability.journal",
       [ Alcotest.test_case "create/append/recover round-trip" `Quick
@@ -612,4 +662,6 @@ let suite =
         Alcotest.test_case "untagged state payload refused with a typed error" `Quick
           test_untagged_state_payload_refused;
         Alcotest.test_case "recover, continue, recover again across compactions" `Quick
-          test_recover_continue_recover ] ) ]
+          test_recover_continue_recover;
+        Alcotest.test_case "recovery reads each surviving segment once" `Quick
+          test_recover_reads_each_segment_once ] ) ]

@@ -544,9 +544,12 @@ let test_snapshot_rejects_garbage () =
   (match Engine.restore_string "not a snapshot" with
   | exception Engine.Snapshot_error Engine.Not_a_snapshot -> ()
   | _ -> Alcotest.fail "bad magic must raise Snapshot_error Not_a_snapshot");
-  match Engine.restore_string "CYLOG-SNAPSHOT/1\ncorrupt" with
+  (match Engine.restore_string "CYLOG-SNAPSHOT/1\ncorrupt" with
   | exception Engine.Snapshot_error (Engine.Unsupported_version 1) -> ()
-  | _ -> Alcotest.fail "a v1 checkpoint must raise Snapshot_error (Unsupported_version 1)"
+  | _ -> Alcotest.fail "a v1 checkpoint must raise Snapshot_error (Unsupported_version 1)");
+  match Engine.restore_string "CYLOG-SNAPSHOT/2\n\x10\x00\x00\x00corrupt" with
+  | exception Engine.Snapshot_error (Engine.Unsupported_version 2) -> ()
+  | _ -> Alcotest.fail "a v2 checkpoint must raise Snapshot_error (Unsupported_version 2)"
 
 let test_snapshot_restore_midway () =
   (* Checkpoint with tasks still pending, keep answering on the restored
@@ -576,7 +579,8 @@ let test_snapshot_restore_midway () =
 let test_snapshot_faulted_campaign_replays () =
   (* The strongest journal: a faulted, leased, quorum campaign writes
      J_assign/J_reclaim/J_set_lease/J_set_quorum entries besides the
-     answers. Restore must reproduce the trace byte for byte. *)
+     answers. Restore must reproduce the trace byte for byte, and so must
+     replaying the whole journal onto a fresh load of the program. *)
   let corpus = Tweets.Generator.generate ~seed:5 6 in
   let o =
     Tweetpecker.Runner.run ~seed:13 ~corpus ~faults:Crowd.Faults.all
@@ -590,7 +594,48 @@ let test_snapshot_faulted_campaign_replays () =
     (List.map (fun ((t : Engine.open_tuple), r) -> (t.id, r)) (Engine.dead_letters restored)
     = List.map (fun ((t : Engine.open_tuple), r) -> (t.id, r)) (Engine.dead_letters o.engine));
   Alcotest.(check bool) "re-snapshot byte-identical" true
-    (Engine.snapshot_string restored = snap)
+    (Engine.snapshot_string restored = snap);
+  let program =
+    Tweetpecker.Programs.program Tweetpecker.Programs.VE ~corpus
+      ~workers:(List.map (fun (w : Crowd.Worker.profile) -> w.name) o.workers)
+  in
+  Alcotest.(check bool) "the whole journal replays" true
+    (Test_differential.journal_replays program o.engine)
+
+(* Rows the host writes through [Engine.database] are not journaled, so
+   only a checkpoint that carries the database keeps them. *)
+let test_snapshot_keeps_host_rows () =
+  let engine =
+    Engine.load
+      (Parser.parse_exn "schema:\n  Task(id);\nrules:\n  Q: LabelOf(id, v)/open <- Task(id);\n")
+  in
+  let tasks = Reldb.Database.find_exn (Engine.database engine) "Task" in
+  for i = 0 to 39 do
+    ignore (Reldb.Relation.insert tasks (Reldb.Tuple.of_list [ ("id", v_int i) ]))
+  done;
+  ignore (Engine.run engine);
+  let answer e (o : Engine.open_tuple) =
+    (match Engine.supply e o.id ~worker:(v_str "w") [ ("v", v_int (o.id mod 3)) ] with
+    | Ok _ -> ()
+    | Error r -> Alcotest.failf "answer %d: %s" o.id (Engine.reject_to_string r));
+    ignore (Engine.run e)
+  in
+  List.iteri (fun i o -> if i < 15 then answer engine o) (Engine.pending engine);
+  let restored = Engine.restore_string (Engine.snapshot_string engine) in
+  let pending_ids e = List.map (fun (o : Engine.open_tuple) -> o.id) (Engine.pending e) in
+  let tuples e = Reldb.Database.total_tuples (Engine.database e) in
+  Alcotest.(check int) "same events" (Engine.event_count engine) (Engine.event_count restored);
+  Alcotest.(check bool) "same trace" true (engine_trace restored = engine_trace engine);
+  Alcotest.(check int) "same rows" (tuples engine) (tuples restored);
+  Alcotest.(check (list int)) "same pending ids" (pending_ids engine) (pending_ids restored);
+  Alcotest.(check bool) "same journal" true
+    (Engine.journal_dump restored = Engine.journal_dump engine);
+  let finish e =
+    List.iter (answer e) (Engine.pending e);
+    engine_trace e
+  in
+  Alcotest.(check bool) "answering the rest gives the same trace" true
+    (finish restored = finish engine)
 
 let suite =
   [ ( "robustness.parser",
@@ -632,4 +677,6 @@ let suite =
         Alcotest.test_case "mid-campaign checkpoint continues identically" `Quick
           test_snapshot_restore_midway;
         Alcotest.test_case "faulted campaign replays byte-identically" `Slow
-          test_snapshot_faulted_campaign_replays ] ) ]
+          test_snapshot_faulted_campaign_replays;
+        Alcotest.test_case "rows written by the host survive a checkpoint" `Quick
+          test_snapshot_keeps_host_rows ] ) ]
