@@ -2,7 +2,7 @@
    docs: full-scale runs write counts-only BENCH_*.json artifacts, and the
    *-smoke gates [dune runtest] runs reuse their runners at small scale.
    Only the gates whose subject is time read the wall clock:
-   telemetry-overhead, serve-smoke's history gate and setup-smoke. *)
+   serve-smoke's history gate and setup-smoke. *)
 
 open Emit
 
@@ -55,11 +55,9 @@ type joins_run = {
   j_trace : (int * string option * (string * Reldb.Value.t) list * bool) list;
 }
 
-let joins_run ?(metrics = true) ~scale ~use_planner () =
+let joins_run ~scale ~use_planner () =
   let n = 40 * scale and t = 2 * scale in
   let engine = Cylog.Engine.load ~use_planner (Cylog.Parser.parse_exn joins_src) in
-  if not metrics then
-    Cylog.Telemetry.Metrics.set_enabled (Cylog.Engine.metrics engine) false;
   let db = Cylog.Engine.database engine in
   for i = 0 to t - 1 do
     insert engine "Target" [ ("z", (20 * i) + 3) ]
@@ -761,7 +759,7 @@ let random_labeller labels engine ~worker:_ ~rng ~round:_ =
           [ ("label", Reldb.Value.String label) ],
           Crowd.Simulator.Enter_value )
 
-let monitor_campaign ?budget ?store ?(monitored = true) ~seed ~items () =
+let monitor_campaign ?budget ?store ~seed ~items () =
   let engine = Cylog.Engine.load (Cylog.Parser.parse_exn (quality_src items)) in
   (match store with
   | Some s ->
@@ -781,7 +779,7 @@ let monitor_campaign ?budget ?store ?(monitored = true) ~seed ~items () =
   let outcome =
     Crowd.Simulator.run ~seed ~max_rounds:400 ~lease:Cylog.Lease.default_config
       ~policy:quality_policy
-      ?monitor:(if monitored then Some config else None)
+      ~monitor:config
       ~stop:(fun e ->
         Cylog.Engine.pending e = [] && Cylog.Engine.run e |> snd = `Quiescent)
       ~workers engine
@@ -973,50 +971,65 @@ let run_telemetry_smoke () =
              derived (Cylog.Engine.metrics_of_events (Cylog.Engine.events engine))
              = derived metrics ) ]))
 
+(* The telemetry overhead gate counts minor-heap words, which repeat
+   exactly, on one campaign made of task events: [items] labelling tasks
+   under [Fixed 3], each answered by three workers, with a monitor sample
+   every ten tasks when a monitor is installed. The count starts after
+   [Engine.certificate], which the first answer would otherwise compute
+   inside the window, and covers the answer phase. Returns the words and
+   the events recorded. *)
+let overhead_words ~items ~metrics ~monitored =
+  let engine = Cylog.Engine.load (Cylog.Parser.parse_exn (quality_src items)) in
+  Cylog.Telemetry.Metrics.set_enabled (Cylog.Engine.metrics engine) metrics;
+  Cylog.Engine.set_quorum_policy engine (Cylog.Engine.Fixed 3);
+  if monitored then
+    Cylog.Engine.set_monitor engine (Some Cylog.Monitor.default_config);
+  ignore (Cylog.Engine.run engine);
+  ignore (Cylog.Engine.certificate engine);
+  let workers = List.map (fun w -> Reldb.Value.String w) [ "w1"; "w2"; "w3" ] in
+  let events0 = Cylog.Engine.event_count engine in
+  let words0 = Gc.minor_words () in
+  List.iteri
+    (fun i (o : Cylog.Engine.open_tuple) ->
+      List.iter
+        (fun worker ->
+          match
+            Cylog.Engine.supply engine o.id ~worker [ ("label", Reldb.Value.String "x") ]
+          with
+          | Ok _ -> ()
+          | Error r -> failwith (Cylog.Engine.reject_to_string r))
+        workers;
+      if monitored && i mod 10 = 9 then ignore (Cylog.Engine.monitor_sample engine ~round:i))
+    (Cylog.Engine.pending engine);
+  (Gc.minor_words () -. words0, Cylog.Engine.event_count engine - events0)
+
+(* Bounds, in minor words per event over the metrics-off run: each is the
+   figure this code measures (67.02 and 73.77 words under 64-bit OCaml
+   5.1), rounded up to the next whole word, so one more allocation per
+   event fails the gate. Re-measure with [dune exec bench/main.exe
+   telemetry-overhead] when the fold's allocations change on purpose. *)
+let metrics_words_per_event = 68
+let monitor_words_per_event = 74
+
 let run_telemetry_overhead () =
-  section "Telemetry overhead: joins with the metrics registry on vs off (null sink)";
-  (* Wall-clock assertions flake; take best-of-3 and accept either the
-     2%% relative bound or a small absolute floor at this tiny scale. *)
-  let best f =
-    List.fold_left
-      (fun acc _ -> Float.min acc (snd (time f)))
-      Float.infinity [ (); (); () ]
-  in
-  ignore (joins_run ~scale:10 ~use_planner:true ()) (* warm-up *);
-  let on = best (fun () -> joins_run ~scale:10 ~use_planner:true ()) in
-  let off = best (fun () -> joins_run ~metrics:false ~scale:10 ~use_planner:true ()) in
-  let delta = on -. off in
-  let pct = 100.0 *. delta /. Float.max 1e-9 off in
-  Format.printf "  metrics on: %.4fs   off: %.4fs   delta %+.4fs (%+.1f%%)@." on off
-    delta pct;
-  if delta > 0.05 && pct > 2.0 then begin
-    Format.printf "  FAIL: instrumentation overhead above 2%% (and 0.05s)@.";
-    exit 1
-  end;
-  Format.printf "  ok: overhead within tolerance (<=2%% or <=0.05s)@.";
-  (* Monitor sampling rides the same budget: the identical seeded faulted
-     campaign with and without the monitor installed, null sink. *)
-  let best_campaign monitored =
-    List.fold_left
-      (fun acc () ->
-        let _, seconds =
-          time (fun () -> monitor_campaign ~monitored ~seed:7 ~items:20 ())
-        in
-        Float.min acc seconds)
-      Float.infinity [ (); (); () ]
-  in
-  ignore (monitor_campaign ~seed:7 ~items:20 ()) (* warm-up *);
-  let m_on = best_campaign true in
-  let m_off = best_campaign false in
-  let m_delta = m_on -. m_off in
-  let m_pct = 100.0 *. m_delta /. Float.max 1e-9 m_off in
-  Format.printf "  monitor on: %.4fs   off: %.4fs   delta %+.4fs (%+.1f%%)@." m_on
-    m_off m_delta m_pct;
-  if m_delta > 0.05 && m_pct > 2.0 then begin
-    Format.printf "  FAIL: monitor sampling overhead above 2%% (and 0.05s)@.";
-    exit 1
-  end;
-  Format.printf "  ok: monitor sampling within tolerance (<=2%% or <=0.05s)@."
+  section "Telemetry overhead: minor words per event, metrics and monitor on vs off";
+  let items = 2000 in
+  let off, _ = overhead_words ~items ~metrics:false ~monitored:false in
+  let on, on_events = overhead_words ~items ~metrics:true ~monitored:false in
+  let mon, mon_events = overhead_words ~items ~metrics:true ~monitored:true in
+  let per_event words events = (words -. off) /. float_of_int events in
+  let metrics = per_event on on_events and monitor = per_event mon mon_events in
+  Format.printf "  %d tasks x 3 answers: off %.0f words; metrics on %.0f words over %d@."
+    items off on on_events;
+  Format.printf "  events; metrics and monitor on %.0f words over %d events@." mon mon_events;
+  Format.printf "  metrics: %+.2f words/event (bound %d); metrics and monitor: %+.2f (bound %d)@."
+    metrics metrics_words_per_event monitor monitor_words_per_event;
+  verdict ~ok:"words per event within both bounds"
+    (failed
+       [ ( "metrics words per event above bound",
+           metrics <= float_of_int metrics_words_per_event );
+         ( "metrics and monitor words per event above bound",
+           monitor <= float_of_int monitor_words_per_event ) ])
 
 (* The monitor regression gate, wired into [dune runtest] via the
    [monitor-smoke] alias: the budget-capped faulted campaign must fire

@@ -77,11 +77,6 @@ let reject_key = function
   | Wrong_attrs _ -> "wrong_attrs"
   | Type_mismatch _ -> "type_mismatch"
 
-let reason_key = function
-  | Lease.Timed_out -> "timed_out"
-  | Lease.Rejected_answers _ -> "rejected_answers"
-  | Lease.Declined -> "declined"
-
 (* --- Quorum (redundant assignment + aggregation) --------------------------- *)
 
 type quorum_policy =
@@ -117,20 +112,6 @@ type jentry =
   | J_set_quorum of (quorum_policy * string list option) option
   | J_set_monitor of Monitor.config option
   | J_sample of int  (* monitor round-boundary sample *)
-
-(* Fold state for deriving metrics from the event journal: each open id's
-   creation clock (for the age-at-dead-letter histogram) and the value
-   ballots banked so far on pending quorum tasks (for the agreement rate
-   computed when the task resolves). The engine keeps one instance in sync
-   with its live registry; [metrics_of_events] rebuilds a fresh one. *)
-type count_state = {
-  cs_created : (open_id, int) Hashtbl.t;
-  cs_ballots : (open_id, (string * Reldb.Value.t) list list) Hashtbl.t;
-      (* reverse arrival order *)
-}
-
-let fresh_count_state () =
-  { cs_created = Hashtbl.create 64; cs_ballots = Hashtbl.create 16 }
 
 (* Debug instrumentation: enable with Logs.Src.set_level on "cylog.engine". *)
 let log_src = Logs.Src.create "cylog.engine" ~doc:"CyLog evaluation engine"
@@ -248,16 +229,16 @@ type t = {
       (* history already marshalled for WAL state records; None until the
          first one (see [state_parts]) *)
   tel : Telemetry.t;
-  counting : count_state;
-      (* per-open-id fold state (creation clocks, banked ballots) that
-         keeps the live registry equal to a recount over [events] *)
+  mutable fold : Fold.t;
+      (* the event fold behind the journal-derived counters and the
+         monitor; [set_monitor] swaps in a refold of [events] *)
   task_spans : (open_id, Telemetry.handle) Hashtbl.t;
       (* span id of each pending task's "task" span (tracing only), so
          lease/vote/resolve spans can parent to it across steps *)
   mutable monitor : Monitor.t option;
-      (* campaign monitor; derived state — [set_monitor] backfills it
-         from [events] and restore/recovery rebuild it the same way,
-         never from serialised bytes *)
+      (* campaign monitor over [fold]; derived state — [set_monitor]
+         backfills it from [events] and restore/recovery rebuild it the
+         same way, never from serialised bytes *)
   mutable wal : Journal.t option;  (* durable WAL sink; None = volatile *)
   mutable wal_compact_pending : bool;
       (* a compaction was requested mid-entry; it runs at the start of
@@ -601,7 +582,7 @@ let load ?(use_delta = true) ?(use_planner = true) ?(lint = `Strict)
     journal = [];
     encoded = None;
     tel = Telemetry.create ();
-    counting = fresh_count_state ();
+    fold = Fold.create ();
     task_spans = Hashtbl.create 16;
     monitor = None;
     wal = None;
@@ -683,117 +664,9 @@ let telemetry t = t.tel
 let metrics t = Telemetry.metrics t.tel
 let set_sink t sink = Telemetry.set_sink t.tel sink
 
-let stmt_key label statement =
-  match label with Some l -> l | None -> string_of_int statement
-
-(* The one event-counting fold. [record_event] applies it to the live
-   registry and [metrics_of_events] to a fresh one, so "the live counters
-   match a recount over the journal" holds by construction. [st] carries
-   each open id's creation clock forward to its dead-letter event (for the
-   age histogram) and each pending quorum task's value ballots forward to
-   its resolution (for the agreement rate). *)
-let count_event st m (ev : event) =
-  let module M = Telemetry.Metrics in
-  M.incr m "engine.events";
-  (match ev.by_human with
-  | Some w ->
-      M.incr m "answers.accepted";
-      M.incr m ("answers.accepted.worker." ^ Reldb.Value.to_display w)
-  | None ->
-      if ev.fired then begin
-        M.incr m "engine.fired";
-        M.incr m ("engine.fired.rule." ^ stmt_key ev.label ev.statement)
-      end
-      else if ev.effects = [] then M.incr m "engine.tail_filtered");
-  let votes = ref 0 and others = ref 0 and voted_id = ref None in
-  List.iter
-    (fun eff ->
-      match eff with
-      | Inserted _ ->
-          incr others;
-          M.incr m "db.inserted"
-      | Updated _ ->
-          incr others;
-          M.incr m "db.updated"
-      | Deleted (_, n) ->
-          incr others;
-          M.incr m ~by:n "db.deleted_rows"
-      | Awarded _ ->
-          incr others;
-          M.incr m "payoff.awards"
-      | Open_created id ->
-          incr others;
-          Hashtbl.replace st.cs_created id ev.clock;
-          M.incr m "open.created"
-      | Vote_recorded (id, _) ->
-          incr votes;
-          voted_id := Some id;
-          M.incr m "quorum.votes"
-      | Dead_lettered (id, reason) ->
-          M.incr m "open.dead_lettered";
-          M.incr m ("open.dead_lettered.reason." ^ reason_key reason);
-          (match Hashtbl.find_opt st.cs_created id with
-          | Some c -> M.observe m "open.age_at_dead_letter" (ev.clock - c)
-          | None -> ());
-          Hashtbl.remove st.cs_ballots id
-      | Adaptive_resolved { posterior_pct; escalated; _ } ->
-          (* The resolution evidence rides in the event itself, so the
-             adaptive counters and the posterior histogram recount exactly
-             from the journal like every other quorum metric. *)
-          M.incr m (if escalated then "quorum.escalated" else "quorum.early_stopped");
-          M.observe m "quorum.posterior_at_resolution" posterior_pct
-      | Resolved _ ->
-          incr others;
-          M.incr m "open.resolved"
-      | Sampled _ -> M.incr m "monitor.samples"
-      | Alert_fired { alert; _ } ->
-          (* Like [Adaptive_resolved], the verdict rides in the event:
-             the recount reads alerts back instead of re-deciding them. *)
-          M.incr m "monitor.alerts";
-          M.incr m ("monitor.alerts." ^ Event.alert_key alert)
-      | No_effect -> incr others)
-    ev.effects;
-  match !voted_id with
-  | Some id when !others = 0 ->
-      (* A vote was banked and the task stays pending: remember the ballot
-         (existence votes carry no valuation and are skipped). *)
-      if ev.valuation <> [] then
-        Hashtbl.replace st.cs_ballots id
-          (ev.valuation :: Option.value (Hashtbl.find_opt st.cs_ballots id) ~default:[])
-  | Some id ->
-      (* The quorum task resolved: the same event banked its final vote and
-         applied (or explicitly skipped) the aggregated answer. For value
-         tasks [ev.valuation] is the chosen tuple, so the banked ballots
-         yield the agreement rate: the share of earlier per-attribute votes
-         that match the final choice. (Existence ballots are not journaled
-         per voter, so existence tasks contribute no agreement sample.) *)
-      M.incr m "quorum.resolved";
-      (match (ev.valuation, Hashtbl.find_opt st.cs_ballots id) with
-      | (_ :: _ as chosen), Some ballots ->
-          let agree = ref 0 and total = ref 0 in
-          List.iter
-            (fun ballot ->
-              List.iter
-                (fun (attr, v) ->
-                  match List.assoc_opt attr ballot with
-                  | Some b ->
-                      Stdlib.incr total;
-                      if Reldb.Value.equal b v then Stdlib.incr agree
-                  | None -> ())
-                chosen)
-            ballots;
-          M.incr m ~by:!agree "quorum.votes_agreeing";
-          M.incr m ~by:(!total - !agree) "quorum.votes_disagreeing";
-          if !total > 0 then
-            M.observe m "quorum.agreement_pct" (100 * !agree / !total)
-      | _ -> ());
-      Hashtbl.remove st.cs_ballots id
-  | None -> ()
-
 let metrics_of_events events =
-  let m = Telemetry.Metrics.create () in
-  let st = fresh_count_state () in
-  List.iter (count_event st m) events;
+  let m = Telemetry.Metrics.create () and fold = Fold.create () in
+  List.iter (Fold.apply fold m) events;
   m
 
 let journal_derived_prefixes =
@@ -1096,7 +969,7 @@ let analysis_check t =
   match t.analysis_cache with
   | Some (_, Some bound) ->
       let m = Telemetry.metrics t.tel in
-      let accepted = Telemetry.Metrics.counter m "answers.accepted" in
+      let accepted = t.fold.answers in
       if accepted > bound then begin
         Telemetry.Metrics.incr m "analysis.bound.recomputes";
         let live_counts =
@@ -1120,14 +993,13 @@ let record_event t event =
   ignore (Reldb.Dynarray.push t.events event);
   let m = Telemetry.metrics t.tel in
   (* Guarded here (not only inside [incr]) so the disabled path never
-     allocates the per-rule / per-worker key strings — the monitor's
-     lifecycle recording shelters behind the same single boolean test.
+     allocates the per-rule / per-worker key strings — the monitor, which
+     reads the same fold, shelters behind the same single boolean test.
      Toggling metrics mid-run therefore voids journal-derivability (for
      counters and monitor state alike); recount with [metrics_of_events]
      or [Monitor.of_events] instead. *)
   if Telemetry.Metrics.enabled m then begin
-    count_event t.counting m event;
-    (match t.monitor with Some mon -> Monitor.observe mon event | None -> ());
+    Fold.apply t.fold m event;
     if event.by_human <> None then analysis_check t
   end
 
@@ -1186,7 +1058,7 @@ let fire_traced t idx (info : stmt_info) (m : Eval.matched) fp =
   else begin
     let h =
       Telemetry.enter t.tel "rule"
-        ~attrs:[ ("stmt", stmt_key info.stmt.Ast.label idx) ]
+        ~attrs:[ ("stmt", Fold.stmt_key info.stmt.Ast.label idx) ]
         ~clock:t.clock
     in
     Telemetry.emit t.tel "atom-match"
@@ -1305,7 +1177,7 @@ let delta_scan t idx (info : stmt_info) (ds : delta_state) =
       Telemetry.emit t.tel "delta-scan"
         ~attrs:
           [
-            ("stmt", stmt_key info.stmt.Ast.label idx);
+            ("stmt", Fold.stmt_key info.stmt.Ast.label idx);
             ("mode", (if reset then "rederive" else "differential"));
             ("new_rows", string_of_int consumed);
             ("discovered", string_of_int !n_discovered);
@@ -1636,8 +1508,17 @@ let set_monitor t cfg =
   (* Backfill from the whole event log, so the live monitor always equals
      [Monitor.of_events cfg (events t)] no matter when it was installed —
      and so journal replay and restore (which re-run or re-derive this
-     entry) land on identical state. *)
-  t.monitor <- Option.map (fun c -> Monitor.of_events c (events t)) cfg
+     entry) land on identical state. The series needs the fold as it was
+     at every past sample: a fresh fold of the log (into a scratch
+     registry) rebuilds it and then replaces the engine's. *)
+  t.monitor <-
+    Option.map
+      (fun c ->
+        let fold = Fold.create () in
+        let mon = Monitor.create c fold (Telemetry.Metrics.create ()) (events t) in
+        t.fold <- fold;
+        mon)
+      cfg
 
 let monitor t = t.monitor
 
@@ -1658,8 +1539,8 @@ let monitor_sample t ~round =
   | Some mon ->
       if not (Telemetry.Metrics.enabled (Telemetry.metrics t.tel)) then []
       else begin
-        let alerts = Monitor.check mon in
         t.clock <- t.clock + 1;
+        let alerts = Monitor.check mon ~round ~clock:t.clock in
         let effects =
           Sampled { round }
           :: List.map (fun alert -> Alert_fired { round; alert }) alerts
@@ -1731,7 +1612,7 @@ let dead_letter t (o : open_tuple) reason =
     };
   if Telemetry.tracing t.tel then
     Telemetry.emit t.tel "dead-letter" ~parent
-      ~attrs:[ ("open", string_of_int o.id); ("reason", reason_key reason) ]
+      ~attrs:[ ("open", string_of_int o.id); ("reason", Fold.reason_key reason) ]
       ~clock:t.clock
 
 let decline t id =
@@ -2117,12 +1998,8 @@ let supply_checked t id ~worker values =
               | None ->
                   let bound = Reldb.Tuple.to_list o.bound @ values in
                   let effect = insert_tuple t o.relation bound in
-                  (* The [Resolved] marker makes non-quorum retirement
-                     visible to event folds (the campaign monitor's
-                     lifecycle tracing); quorum resolutions keep their
-                     historical shape and are recognised by the final
-                     [Vote_recorded] riding with other effects. Standing
-                     (repeatable) tasks never retire. *)
+                  (* [Resolved] retires the task (see [Fold.retirements]);
+                     standing (repeatable) tasks never retire. *)
                   if o.repeatable then begin
                     release_lease t o worker;
                     Ok (human_event t o worker [ effect ] values)
@@ -2166,11 +2043,7 @@ let trace_answer t id ~worker ~parent result =
             ]
           ~clock:t.clock
     | Ok (ev : event) ->
-        let vote =
-          List.find_map
-            (function Vote_recorded (_, n) -> Some n | _ -> None)
-            ev.effects
-        in
+        let vote = Option.map snd (Fold.vote ev) in
         let resolved = not (Hashtbl.mem t.open_tbl id) in
         let name =
           if resolved then "resolve" else if vote <> None then "vote" else "answer"
@@ -2305,7 +2178,7 @@ let pp_explain fmt t =
     (fun i info ->
       let key = plan_key t info in
       Format.fprintf fmt "@.rule %s  [%s]@."
-        (stmt_key info.stmt.Ast.label i)
+        (Fold.stmt_key info.stmt.Ast.label i)
         (if info.delta = None then "rescan" else "delta");
       (match info.pos_preds with
       | [] -> Format.fprintf fmt "  join: none (fact or filter-only body)@."
@@ -2606,14 +2479,16 @@ let restore_state payload =
     Array.of_list (List.map (make_info ~use_delta:p.st_use_delta) statements)
   in
   let tel = Telemetry.create () in
-  let counting = fresh_count_state () in
-  Reldb.Dynarray.iter (count_event counting (Telemetry.metrics tel)) events;
-  (* The monitor is derived state: the last installed config is in the
-     journal (like added statements above) and its state is the fold of
-     the restored events — byte-identical to the crashed engine's. *)
-  let monitor_config =
+  (* The journal-derived counters and the monitor are derived state: one
+     fold of the restored events rebuilds both, byte-identical to the
+     crashed engine's. The last installed monitor config is in the
+     journal, like added statements above. *)
+  let fold = Fold.create () and m = Telemetry.metrics tel in
+  let monitor =
     Option.join (List.find_map (function J_set_monitor c -> Some c | _ -> None) !journal)
+    |> Option.map (fun c -> Monitor.create c fold m (Reldb.Dynarray.to_list events))
   in
+  if Option.is_none monitor then Reldb.Dynarray.iter (Fold.apply fold m) events;
   {
     db = p.st_db;
     builtins = Builtin.default ();
@@ -2650,10 +2525,9 @@ let restore_state payload =
           journal_cut = !journal;
         };
     tel;
-    counting;
+    fold;
     task_spans = Hashtbl.create 16;
-    monitor =
-      Option.map (fun c -> Monitor.of_events c (Reldb.Dynarray.to_list events)) monitor_config;
+    monitor;
     wal = None;
     wal_compact_pending = false;
     rows_scanned = ref 0;

@@ -68,10 +68,9 @@ type effect = Event.effect =
           adaptive metric recounts from the journal (see
           {!metrics_of_events}). *)
   | Resolved of open_id
-      (** a non-quorum task left the pending pool by answer — the marker
-          that makes non-quorum retirement visible to event folds (the
-          monitor's lifecycle tracing). Quorum resolutions keep their
-          historical shape: a [Vote_recorded] riding with other effects. *)
+      (** a non-quorum task left the pending pool by answer;
+          {!Cylog.Fold.retirements} reads which events retire which
+          tasks *)
   | Sampled of { round : int }
       (** a {!monitor_sample} round-boundary sample *)
   | Alert_fired of { round : int; alert : Event.alert }
@@ -400,13 +399,13 @@ val set_sink : t -> Telemetry.Sink.t -> unit
     so traces are replay-stable. *)
 
 val metrics_of_events : event list -> Telemetry.Metrics.t
-(** Recompute the journal-derived metrics from an event list. For any
-    engine whose registry stayed enabled for the whole run, the
-    {!journal_derived} subset of the live registry equals
-    [metrics_of_events (events t)] — the invariant the telemetry
-    differential tests pin down, and what lets {!restore_string} and
-    {!recover} rebuild identical counters by recounting the restored
-    events. *)
+(** Recompute the journal-derived metrics from an event list: a fresh
+    {!Cylog.Fold} over it. The engine applies the same fold to every
+    event it records, so for any engine whose registry stayed enabled
+    for the whole run the {!journal_derived} subset of the live registry
+    equals [metrics_of_events (events t)] — the invariant the telemetry
+    differential tests pin down. {!restore_string} and {!recover} fold
+    the restored events once. *)
 
 val journal_derived : string -> bool
 (** Whether a metric name is recomputable from {!events} (as opposed to
@@ -416,11 +415,13 @@ val journal_derived : string -> bool
 (** {1 Campaign monitor}
 
     The cost/latency/quality dashboard of a running campaign — see
-    {!Cylog.Monitor} for the series and alert catalogue. The monitor is
-    {e derived} state: installing one backfills it by folding the whole
-    event log, state records never serialise it, and restore/recovery
-    rebuild it by folding the restored events — so
-    [Monitor.view (Option.get (monitor t))] always equals
+    {!Cylog.Monitor} for the series and alert catalogue. The monitor
+    reads the engine's own {!Cylog.Fold}, the one behind the
+    journal-derived counters, and keeps only its config and series. It
+    is {e derived} state: installing one refolds the whole event log to
+    rebuild the series, state records never serialise it, and
+    restore/recovery rebuild it in their one fold of the restored events
+    — so [Monitor.view (Option.get (monitor t))] always equals
     [Monitor.view (Monitor.of_events cfg (events t))]. *)
 
 val set_monitor : t -> Monitor.config option -> unit

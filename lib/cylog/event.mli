@@ -34,10 +34,8 @@ val alert_to_string : alert -> string
 (** Human-readable one-liner. *)
 
 (** Identical to the historical [Engine.effect], plus the monitor
-    vocabulary: [Resolved] (a non-quorum task left the pending pool by
-    answer — quorum resolutions keep their historical shape and are
-    recognised by a [Vote_recorded] riding with other effects),
-    [Sampled] (a monitor round-boundary sample) and [Alert_fired]. *)
+    vocabulary: [Resolved] (see {!Cylog.Fold.retirements}), [Sampled] (a
+    monitor round-boundary sample) and [Alert_fired]. *)
 type effect =
   | Inserted of string * Reldb.Tuple.t
   | Updated of string * Reldb.Tuple.t

@@ -8,8 +8,11 @@
     boundaries with {!Cylog.Engine.monitor_sample}; the crowd simulator
     does both when given a monitor config.
 
-    {b Derivability.} The monitor's whole state — lifecycle latency
-    histograms, every series point, every alert firing — is one fold over
+    {b Derivability.} A monitor is a config and a bounded series over a
+    {!Cylog.Fold}: the totals, pending tasks, lifecycle histograms and
+    alert latches it reports are the fold's, and the live monitor reads
+    the engine's own fold, the one that also feeds the registry's
+    journal-derived counters. Its whole state is therefore one fold over
     the engine's event log: {!of_events}[ config (Engine.events t)]
     rebuilds the live monitor exactly (compare with {!view}), before and
     after snapshot/restore and crash recovery. Sampling emits a
@@ -78,44 +81,30 @@ type point = {
   p_dead_letter_pct : int;
 }
 
-type firing = { at_round : int; at_clock : int; alert : Event.alert }
+type firing = Fold.firing = { at_round : int; at_clock : int; alert : Event.alert }
 
 type t
 
-val create : config -> t
-(** An empty monitor (no events folded yet). *)
-
 val of_events : config -> Event.event list -> t
-(** {b The definition} of monitor state: fold the event log from the
-    beginning. [Engine.set_monitor] uses this to backfill, so a monitor
-    installed mid-campaign still reports full lifecycle history. *)
+(** {b The definition} of monitor state: a fresh {!Cylog.Fold} of the
+    event log, with a series point pushed at every [Sampled] event. *)
 
-val observe : t -> Event.event -> unit
-(** One fold step; the engine applies it to every recorded event. *)
+val create : config -> Fold.t -> Telemetry.Metrics.t -> Event.event list -> t
+(** [create config fold m events] applies [events] to [fold] and [m] as
+    {!of_events} does, and returns the monitor that reads [fold] from then
+    on: the engine passes its own fold and registry, so a monitor adds no
+    second fold per event. *)
 
-val check : t -> Event.alert list
-(** Evaluate the armed watchdogs against the current state, honouring the
-    per-kind latches (each alert kind fires at most once per monitor
-    lifetime). Pure read — latching happens when the journalled
-    [Alert_fired] effect flows back through {!observe}. Called by
-    {!Cylog.Engine.monitor_sample}; not meant for direct use. *)
+val check : t -> round:int -> clock:int -> Event.alert list
+(** Take a round-boundary sample at [clock]: push its series point (the
+    sample's own event, recorded next by {!Cylog.Engine.monitor_sample},
+    moves nothing a point reads), then evaluate the armed watchdogs. Each
+    alert kind fires at most once per monitor lifetime: it is latched
+    when the journalled [Alert_fired] flows back through the fold. *)
 
-val config : t -> config
 val spent : t -> int
 val answers : t -> int
-val pending : t -> int
-val retired : t -> int
 val samples : t -> int
-
-val agreement_pct : t -> int
-(** [-1] when no quorum resolution has produced an agreement sample. *)
-
-val posterior_pct : t -> int
-(** [-1] when no adaptive resolution happened. *)
-
-val dead_letter_pct : t -> int
-(** Share of retired tasks that were dead-lettered; [0] when none
-    retired. *)
 
 val histograms : t -> (string * Telemetry.Metrics.histogram) list
 (** The lifecycle histograms, sorted by name. *)
@@ -123,10 +112,6 @@ val histograms : t -> (string * Telemetry.Metrics.histogram) list
 val points : t -> point list
 (** Retained series points, oldest first (at most
     [config.series_capacity]). *)
-
-val dropped_points : t -> int
-(** Points evicted by the ring — [0] means {!points} is the whole
-    series. *)
 
 val firings : t -> firing list
 (** Alert firings, chronological (never evicted). *)

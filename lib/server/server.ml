@@ -158,35 +158,11 @@ type resolution =
   | Task_resolved of { task : task_ref; quorum : bool }
   | Task_dead of { task : task_ref; reason : Lease.reason }
 
-(* Resolution recognition, mirroring the monitor's lifecycle fold:
-   [Resolved id] retires a non-quorum task; a [Vote_recorded] riding with
-   any other effect is a quorum resolution (a lone vote just banks);
-   [Dead_lettered] is the failure exit. The event's resolutions are pushed
-   onto [acc], so [acc] holds them newest first. *)
-let push_resolutions s (ev : Engine.event) acc =
-  let vote =
-    List.find_map
-      (function Engine.Vote_recorded (id, _) -> Some id | _ -> None)
-      ev.effects
-  in
-  let rides =
-    List.exists (function Engine.Vote_recorded _ -> false | _ -> true)
-      ev.effects
-  in
-  let acc =
-    match vote with
-    | Some id when rides ->
-        Task_resolved { task = { shard = s; local = id }; quorum = true } :: acc
-    | _ -> acc
-  in
-  List.fold_left
-    (fun acc -> function
-      | Engine.Resolved id ->
-          Task_resolved { task = { shard = s; local = id }; quorum = false } :: acc
-      | Engine.Dead_lettered (id, reason) ->
-          Task_dead { task = { shard = s; local = id }; reason } :: acc
-      | _ -> acc)
-    acc ev.effects
+(* [Fold.retirements] decides which event retires which task. *)
+let resolution shard = function
+  | Fold.Answered local -> Task_resolved { task = { shard; local }; quorum = false }
+  | Fold.Quorum_resolved local -> Task_resolved { task = { shard; local }; quorum = true }
+  | Fold.Dead (local, reason) -> Task_dead { task = { shard; local }; reason }
 
 let resolve_poll t ~campaign cursor =
   if cursor.c_campaign <> campaign then
@@ -201,7 +177,12 @@ let resolve_poll t ~campaign cursor =
             let events = Engine.events_since e ~after:cursor.pos.(i) in
             cursor.pos.(i) <- cursor.pos.(i) + List.length events;
             newest_first :=
-              List.fold_left (fun acc ev -> push_resolutions i ev acc) !newest_first events)
+              List.fold_left
+                (fun acc ev ->
+                  List.fold_left
+                    (fun acc r -> resolution i r :: acc)
+                    acc (Fold.retirements ev))
+                !newest_first events)
     t.pool;
   List.rev !newest_first
 

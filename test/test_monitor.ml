@@ -28,13 +28,7 @@ let campaign_src =
   Q: LabelOf(id, label)/open <- Item(id);
 |}
 
-let campaign ?budget ?store ~seed () =
-  let engine = Engine.load (Parser.parse_exn campaign_src) in
-  (match store with
-  | Some s ->
-      Engine.journal_start ~storage:(Storage.Sim.storage s) engine "journal"
-  | None -> ());
-  let config = { Monitor.default_config with max_budget = budget } in
+let faulted_workers ~seed =
   let policy engine ~worker:_ ~rng ~round:_ =
     match Engine.pending engine with
     | [] -> Crowd.Simulator.Pass
@@ -51,9 +45,16 @@ let campaign ?budget ?store ~seed () =
       (fun w -> (Reldb.Value.String w, policy))
       [ "w1"; "w2"; "w3"; "w4"; "w5" ]
   in
-  let workers =
-    Crowd.Faults.inject ~seed (List.assoc "all" Crowd.Faults.profiles) workers
-  in
+  Crowd.Faults.inject ~seed (List.assoc "all" Crowd.Faults.profiles) workers
+
+let campaign ?budget ?store ~seed () =
+  let engine = Engine.load (Parser.parse_exn campaign_src) in
+  (match store with
+  | Some s ->
+      Engine.journal_start ~storage:(Storage.Sim.storage s) engine "journal"
+  | None -> ());
+  let config = { Monitor.default_config with max_budget = budget } in
+  let workers = faulted_workers ~seed in
   let outcome =
     Crowd.Simulator.run ~seed ~max_rounds:150 ~lease:Lease.default_config
       ~policy:(Engine.Adaptive { tau = 0.9; min_votes = 2; max_votes = 5 })
@@ -221,6 +222,40 @@ let test_quantile () =
     (Telemetry.Metrics.quantile h 0.0)
     (Telemetry.Metrics.quantile h (-1.0))
 
+(* --- A second monitor installed mid-campaign ---------------------------------- *)
+
+(* Re-installing rebuilds the series from the log: after the budget alert
+   fired under the first config, a second one with another threshold and
+   a ring smaller than the samples taken so far must report what a
+   recount, a restore and a recovery report, while sampling goes on. *)
+let test_second_monitor () =
+  let store = Storage.Sim.create () in
+  let engine, _, _ = campaign ~budget:10 ~store ~seed:7 () in
+  let samples = Monitor.samples (Option.get (Engine.monitor engine)) in
+  Alcotest.(check bool) "the first monitor fired" true
+    (Monitor.firings (Option.get (Engine.monitor engine)) <> []);
+  let config =
+    { Monitor.default_config with max_budget = Some 20; series_capacity = samples / 2 }
+  in
+  Engine.set_monitor engine (Some config);
+  ignore
+    (Crowd.Simulator.run ~seed:8 ~max_rounds:12 ~lease:Lease.default_config
+       ~on_alert:(fun _ -> `Warn)
+       ~stop:(fun e -> Engine.pending e = [])
+       ~workers:(faulted_workers ~seed:8) engine);
+  let live = monitor_view_of engine in
+  let v = Option.get live in
+  Alcotest.(check bool) "sampling went on" true (v.v_samples > samples);
+  Alcotest.(check bool) "the ring dropped the oldest points" true (v.v_dropped_points > 0);
+  Alcotest.(check int) "the ring holds its capacity" config.series_capacity
+    (List.length v.v_points);
+  Alcotest.(check bool) "recount = live" true (recount_view config engine = live);
+  Alcotest.(check bool) "restore = live" true
+    (monitor_view_of (Engine.restore_string (Engine.snapshot_string engine)) = live);
+  Option.iter Journal.close (Engine.durable_journal engine);
+  let recovered, _ = Engine.recover ~storage:(Storage.Sim.storage store) "journal" in
+  Alcotest.(check bool) "recovery = live" true (monitor_view_of recovered = live)
+
 let suite =
   [ ( "monitor",
       List.map QCheck_alcotest.to_alcotest
@@ -233,4 +268,6 @@ let suite =
           Alcotest.test_case "metrics kill switch short-circuits the monitor"
             `Quick test_disabled_monitor_records_nothing;
           Alcotest.test_case "histogram quantiles interpolate" `Quick
-            test_quantile ] ) ]
+            test_quantile;
+          Alcotest.test_case "a second monitor installed mid-campaign" `Quick
+            test_second_monitor ] ) ]

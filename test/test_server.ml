@@ -352,6 +352,84 @@ let test_certificate_counts_shards () =
       Alcotest.(check string) "tasks summed over every slot" "<= 18"
         (Analysis.card_to_string c.Server.Fleet.c_total_tasks)
 
+(* --- Resolution polling ------------------------------------------------------ *)
+
+(* [resolve_poll] reports each retired task exactly once and as the right
+   kind: quorum resolutions exactly on the [Fixed 2] campaign, plain
+   answers on the other, and every declined task as a [Declined] dead
+   letter. The kinds it reports add up to the fleet registry's counts. *)
+let test_resolve_poll_kinds () =
+  let server = Server.create ~shards:2 () in
+  let voted = Fleet_sim.campaign_name 0 and single = Fleet_sim.campaign_name 1 in
+  let items = 12 in
+  Server.open_campaign server ~name:voted ~partition_by:Fleet_sim.placements
+    ~policy:(Engine.Fixed 2)
+    (Fleet_sim.campaign_program ~items ~offset:0);
+  Server.open_campaign server ~name:single ~partition_by:Fleet_sim.placements
+    (Fleet_sim.campaign_program ~items ~offset:1000);
+  let campaigns = [ voted; single ] in
+  let cursors = List.map (fun c -> (c, Server.poll_cursor server ~campaign:c)) campaigns in
+  let seen = Hashtbl.create 32 in
+  let answered = ref 0 and quorum = ref 0 and dead = ref 0 in
+  let retired campaign (task : Server.task_ref) =
+    let key = (campaign, task.shard, task.local) in
+    if Hashtbl.mem seen key then
+      Alcotest.failf "%s: task %d on shard %d polled twice" campaign task.local task.shard;
+    Hashtbl.add seen key ()
+  in
+  let poll () =
+    List.iter
+      (fun (campaign, cursor) ->
+        List.iter
+          (function
+            | Server.Task_resolved { task; quorum = q } ->
+                retired campaign task;
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s: quorum flag of task %d" campaign task.local)
+                  (campaign = voted) q;
+                incr (if q then quorum else answered)
+            | Server.Task_dead { task; reason } ->
+                retired campaign task;
+                Alcotest.(check bool) "dead letters are declines" true
+                  (reason = Lease.Declined);
+                incr dead)
+          (Server.resolve_poll server ~campaign cursor))
+      cursors
+  in
+  let round = ref 0 in
+  while Server.pending_total server > 0 && !round < 50 do
+    incr round;
+    List.iter
+      (fun campaign ->
+        List.iter
+          (fun w ->
+            let worker = Reldb.Value.String w in
+            match Server.lease server ~campaign ~worker ~now:!round with
+            | None -> ()
+            | Some (task, _, _) when task.Server.local mod 3 = 0 ->
+                Server.decline server ~campaign task
+            | Some (task, ot, _) -> (
+                match
+                  Server.supply server ~campaign task ~worker
+                    (List.map (fun a -> (a, Reldb.Value.String "same")) ot.open_attrs)
+                with
+                | Server.Accepted _ -> ()
+                | _ -> Alcotest.failf "%s: answer on task %d refused" w task.local))
+          [ "w1"; "w2"; "w3" ])
+      campaigns;
+    poll ()
+  done;
+  let counter = Telemetry.Metrics.counter (Server.stats server).Server.Fleet.metrics in
+  Alcotest.(check int) "campaigns drained" 0 (Server.pending_total server);
+  Alcotest.(check int) "every created task polled once" (counter "open.created")
+    (Hashtbl.length seen);
+  Alcotest.(check bool) "all three kinds occur" true (!answered > 0 && !quorum > 0 && !dead > 0);
+  Alcotest.(check int) "answers = open.resolved" (counter "open.resolved") !answered;
+  Alcotest.(check int) "quorum resolutions = quorum.resolved" (counter "quorum.resolved")
+    !quorum;
+  Alcotest.(check int) "dead letters = open.dead_lettered" (counter "open.dead_lettered")
+    !dead
+
 let suite =
   [ ( "server.router",
       [ Alcotest.test_case "hash and shard assignment are deterministic" `Quick
@@ -371,4 +449,6 @@ let suite =
           test_lease_order ] );
     ( "server.fleet",
       [ Alcotest.test_case "certificate counts shards, not campaign slots" `Quick
-          test_certificate_counts_shards ] ) ]
+          test_certificate_counts_shards;
+        Alcotest.test_case "resolve_poll reports each retirement once, by kind" `Quick
+          test_resolve_poll_kinds ] ) ]
