@@ -384,8 +384,12 @@ let run_ablations () =
       counter "eval.rows_scanned",
       counter "eval.statements_examined" )
   in
-  let n1, rows_delta, stmts_delta = drive (Cylog.Engine.load ~use_delta:true program) in
-  let n2, rows_rescan, stmts_rescan = drive (Cylog.Engine.load ~use_delta:false program) in
+  let n1, rows_delta, stmts_delta =
+    drive (Cylog.Engine.load ~strategy:Cylog.Engine.Optimized program)
+  in
+  let n2, rows_rescan, stmts_rescan =
+    drive (Cylog.Engine.load ~strategy:Cylog.Engine.Reference program)
+  in
   Format.printf
     "  rows scanned: delta %d, rescan %d   statements examined: delta %d, rescan %d   \
      (same result: %b)@."

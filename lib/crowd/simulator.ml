@@ -44,17 +44,22 @@ let shuffle rng xs =
 (* Per-worker campaign tallies (satellite of the quality subsystem): how
    often work reached each worker, how many answers the engine accepted,
    and how many early-stopped resolutions their votes contributed to. The
-   simulator tracks successful voters per task itself because the engine
-   forgets a task's ballots the moment it resolves. *)
+   credit is a fold over the engine's event log since the campaign
+   started: it keeps each pending task's voters, because the engine
+   forgets a task's ballots the moment it resolves, and drops them when
+   {!Cylog.Fold.retirements} says the task left the pool. *)
 module Stats = struct
   type cell = { mutable routed : int; mutable answered : int; mutable credit : int }
 
   type t = {
     cells : (Reldb.Value.t, cell) Hashtbl.t;
     voters : (Cylog.Engine.open_id, Reldb.Value.t list) Hashtbl.t;
+    mutable folded : int;  (* events of the log folded so far *)
   }
 
-  let create () = { cells = Hashtbl.create 8; voters = Hashtbl.create 16 }
+  let create engine =
+    { cells = Hashtbl.create 8; voters = Hashtbl.create 16;
+      folded = Cylog.Engine.event_count engine }
 
   let cell t w =
     match Hashtbl.find_opt t.cells w with
@@ -66,31 +71,34 @@ module Stats = struct
 
   let routed t w = (cell t w).routed <- (cell t w).routed + 1
 
-  (* Score an accepted answer: remember the voter, and on an early-stopped
-     adaptive resolution credit everyone whose vote the task banked. *)
-  let answered t w ~open_id (ev : Cylog.Engine.event) =
-    (cell t w).answered <- (cell t w).answered + 1;
-    let voted =
-      List.exists
-        (function Cylog.Engine.Vote_recorded _ -> true | _ -> false)
-        ev.effects
-    in
-    if voted then
-      Hashtbl.replace t.voters open_id
-        (w :: Option.value (Hashtbl.find_opt t.voters open_id) ~default:[]);
-    List.iter
-      (function
-        | Cylog.Engine.Adaptive_resolved { open_id = id; escalated = false; _ } ->
-            List.iter
-              (fun voter -> (cell t voter).credit <- (cell t voter).credit + 1)
-              (Option.value (Hashtbl.find_opt t.voters id) ~default:[]);
-            Hashtbl.remove t.voters id
-        | Cylog.Engine.Adaptive_resolved { open_id = id; escalated = true; _ } ->
-            Hashtbl.remove t.voters id
-        | _ -> ())
-      ev.effects
+  let answered t w = (cell t w).answered <- (cell t w).answered + 1
 
-  let report t =
+  (* Fold the events recorded since the last call: remember each vote's
+     worker, credit a task's voters when it resolves early, and forget
+     them when it retires. *)
+  let fold t engine =
+    let voters id = Option.value (Hashtbl.find_opt t.voters id) ~default:[] in
+    let credit w = (cell t w).credit <- (cell t w).credit + 1 in
+    let early = function
+      | Cylog.Engine.Adaptive_resolved { open_id; escalated = false; _ } ->
+          List.iter credit (voters open_id)
+      | _ -> ()
+    in
+    let retire : Cylog.Fold.retirement -> unit = function
+      | Answered id | Quorum_resolved id | Dead (id, _) -> Hashtbl.remove t.voters id
+    in
+    List.iter
+      (fun (ev : Cylog.Engine.event) ->
+        (match (Cylog.Fold.vote ev, ev.by_human) with
+        | Some (id, _), Some w -> Hashtbl.replace t.voters id (w :: voters id)
+        | _ -> ());
+        List.iter early ev.effects;
+        List.iter retire (Cylog.Fold.retirements ev))
+      (Cylog.Engine.events_since engine ~after:t.folded);
+    t.folded <- Cylog.Engine.event_count engine
+
+  let report t engine =
+    fold t engine;
     Hashtbl.fold
       (fun w c acc ->
         (w, { routed = c.routed; answered = c.answered; early_stop_credit = c.credit })
@@ -135,7 +143,7 @@ let run ?(seed = 42) ?(max_rounds = 10_000) ?(progress = fun _ -> 0.0) ?lease
   let rng = Random.State.make [| seed |] in
   let tel = Cylog.Engine.telemetry engine in
   let mets = Cylog.Engine.metrics engine in
-  let stats = Stats.create () in
+  let stats = Stats.create engine in
   let log = ref [] in
   let rejected : (Reldb.Value.t, int) Hashtbl.t = Hashtbl.create 8 in
   let reject worker =
@@ -220,9 +228,9 @@ let run ?(seed = 42) ?(max_rounds = 10_000) ?(progress = fun _ -> 0.0) ?lease
                     | None -> ""
                   in
                   match Cylog.Engine.supply engine id ~worker values with
-                  | Ok ev ->
+                  | Ok _ ->
                       acted := true;
-                      Stats.answered stats worker ~open_id:id ev;
+                      Stats.answered stats worker;
                       record n worker kind relation values p;
                       machine ()
                   | Error _ -> reject worker
@@ -232,9 +240,9 @@ let run ?(seed = 42) ?(max_rounds = 10_000) ?(progress = fun _ -> 0.0) ?lease
                   Stats.routed stats worker;
                   let before = Cylog.Engine.find_open engine id in
                   match Cylog.Engine.answer_existence engine id ~worker yes with
-                  | Ok ev ->
+                  | Ok _ ->
                       acted := true;
-                      Stats.answered stats worker ~open_id:id ev;
+                      Stats.answered stats worker;
                       let relation, values =
                         match before with
                         | Some o ->
@@ -251,6 +259,7 @@ let run ?(seed = 42) ?(max_rounds = 10_000) ?(progress = fun _ -> 0.0) ?lease
           end)
         (shuffle rng workers);
       let alert_stop = sample_monitor ~on_alert ~pause_next engine n in
+      Stats.fold stats engine;
       let verdict =
         if stop engine then `Stop
         else
@@ -293,7 +302,7 @@ let run ?(seed = 42) ?(max_rounds = 10_000) ?(progress = fun _ -> 0.0) ?lease
     rejections;
     capped_runs = !capped;
     dead_letters = Cylog.Engine.dead_letters engine;
-    worker_stats = Stats.report stats;
+    worker_stats = Stats.report stats engine;
   }
 
 (* --- Router-driven campaigns ------------------------------------------------ *)
@@ -322,7 +331,7 @@ let run_routed ?(seed = 42) ?(max_rounds = 10_000) ?lease ?policy
   let rng = Random.State.make [| seed |] in
   let tel = Cylog.Engine.telemetry engine in
   let mets = Cylog.Engine.metrics engine in
-  let stats = Stats.create () in
+  let stats = Stats.create engine in
   let log = ref [] in
   let rejected : (Reldb.Value.t, int) Hashtbl.t = Hashtbl.create 8 in
   let reject worker =
@@ -413,9 +422,9 @@ let run_routed ?(seed = 42) ?(max_rounds = 10_000) ?lease ?policy
                 Stats.routed stats worker;
                 let values = answer_for profile o in
                 match Cylog.Engine.supply engine o.id ~worker values with
-                | Ok ev ->
+                | Ok _ ->
                     acted := true;
-                    Stats.answered stats worker ~open_id:o.id ev;
+                    Stats.answered stats worker;
                     log :=
                       {
                         round = n;
@@ -432,6 +441,7 @@ let run_routed ?(seed = 42) ?(max_rounds = 10_000) ?lease ?policy
               end)
         (shuffle rng workers);
       let alert_stop = sample_monitor ~on_alert ~pause_next engine n in
+      Stats.fold stats engine;
       if !acted then idle_rounds := 0 else incr idle_rounds;
       if routable () = [] then `Stopped
       else
@@ -463,5 +473,5 @@ let run_routed ?(seed = 42) ?(max_rounds = 10_000) ?lease ?policy
     rejections;
     capped_runs = !capped;
     dead_letters = Cylog.Engine.dead_letters engine;
-    worker_stats = Stats.report stats;
+    worker_stats = Stats.report stats engine;
   }

@@ -91,7 +91,12 @@ type quorum_state = {
 
 let policy_cap = function Fixed k -> k | Adaptive a -> a.max_votes
 
-type vote = Vote_values of (string * Reldb.Value.t) list | Vote_exists of bool
+(* A ballot binds each slot of its question once. The slots of a value
+   question are its open attributes; an existence question has the one
+   slot [exists_slot], bound to [Bool yes]. *)
+type ballot = (string * Reldb.Value.t) list
+
+let exists_slot = "(exists)"
 
 (* --- Journal ------------------------------------------------------------------ *)
 
@@ -109,9 +114,12 @@ type jentry =
   | J_reclaim of int
   | J_add_statement of Ast.statement
   | J_set_lease of Lease.config option
-  | J_set_quorum of (quorum_policy * string list option) option
+  | J_set_quorum of quorum_state option
   | J_set_monitor of Monitor.config option
   | J_sample of int  (* monitor round-boundary sample *)
+
+(* Which evaluation path the engine takes; the two are trace-identical. *)
+type strategy = Reference | Optimized
 
 (* Debug instrumentation: enable with Logs.Src.set_level on "cylog.engine". *)
 let log_src = Logs.Src.create "cylog.engine" ~doc:"CyLog evaluation engine"
@@ -174,36 +182,34 @@ type stmt_info = {
   watch_rels : (string * watch_kind) list;  (* per body relation, deduped *)
   payoff_dedup : bool;  (* unordered-support memo (game payoff rules) *)
   mutable exhausted_gen : int;  (* -1: never fully enumerated *)
-  (* Compiled join plans, cached against the per-relation statistics
-     epochs of the body ({!Planner.stats_key}): a supply into a relation
-     outside the body never evicts them, and appends into a body relation
-     only do when its cardinality bucket moves. Rescan uses one plan; a
-     delta scan pins each atom in turn to a single row, so it keeps one
-     plan per pinned position. *)
-  mutable rescan_plan : Planner.t option;
-  mutable rescan_plan_key : int array;
+  (* Compiled join plans of a delta scan, one per pinned atom position,
+     cached against the per-relation statistics epochs of the body
+     ({!Planner.stats_key}): a supply into a relation outside the body
+     never evicts them, and appends into a body relation only do when its
+     cardinality bucket moves. *)
   mutable delta_plans : Planner.t array;
   mutable delta_plans_key : int array;
   delta : delta_state option;
       (* Seminaive evaluation for every statement with at least one
-         positive atom (when the engine runs with [use_delta]): instead of
-         re-enumerating the whole join per step, only combinations
-         involving a row above some atom's frontier are discovered, merged
-         into [pending] by support key and fired one per step. Statements
-         over relations that /update or /delete statements target stay
-         differential between destructive mutations and re-derive (scoped
-         to themselves) when one lands. Fact and filter-only statements
-         ([pos_preds = []]) use the rescan path. *)
+         positive atom (under [Optimized]): instead of re-enumerating the
+         whole join per step, only combinations involving a row above
+         some atom's frontier are discovered, merged into [pending] by
+         support key and fired one per step. Statements over relations
+         that /update or /delete statements target stay differential
+         between destructive mutations and re-derive (scoped to
+         themselves) when one lands. Fact and filter-only statements
+         ([pos_preds = []]), and every statement under [Reference], use
+         the rescan path: left-to-right enumeration up to the first
+         unfired instance. *)
 }
 
 type t = {
   db : Reldb.Database.t;
   builtins : Builtin.registry;
-  use_delta : bool;
-  use_planner : bool;
+  strategy : strategy;
   mutable infos : stmt_info array;
   mutable schedule : Schedule.t;
-      (* the statements a step under [use_delta] examines; rebuilt, all
+      (* the statements a step under [Optimized] examines; rebuilt, all
          awake, whenever [infos] is — derived state, never serialised *)
   fired : (string, unit) Hashtbl.t;
   open_tbl : (open_id, open_tuple) Hashtbl.t;
@@ -222,7 +228,7 @@ type t = {
       (* online per-worker reliability, learnt from agreement with quorum
          resolutions; serialised in every state record ([st_reputation]),
          and updated by the entries replayed after it *)
-  votes : (open_id, (Reldb.Value.t * vote) list) Hashtbl.t;  (* reverse *)
+  votes : (open_id, (Reldb.Value.t * ballot) list) Hashtbl.t;  (* reverse *)
   mutable dead : (open_tuple * Lease.reason) list;  (* reverse *)
   mutable journal : jentry list;  (* reverse chronological *)
   mutable encoded : encoded_history option;
@@ -260,7 +266,7 @@ type t = {
    magic, then the version as one byte), then separately marshalled
    values back to back —
 
-     "CYLOG-STATE/" \002  program  live_state  chunk_1 .. chunk_n
+     "CYLOG-STATE/" \003  program  live_state  chunk_1 .. chunk_n
 
    The history is encoded once. The program is marshalled by the first
    record; each record marshals the live state afresh and, as a new
@@ -273,17 +279,16 @@ type t = {
    state re-derives without re-firing and the continued trace stays
    byte-identical. *)
 type live_state = {
-  st_use_delta : bool;
-  st_use_planner : bool;
+  st_strategy : strategy;
   st_db : Reldb.Database.t;
   st_fired : (string, unit) Hashtbl.t;
   st_open_tbl : (open_id, open_tuple) Hashtbl.t;
   st_next_open : open_id;
   st_clock : int;
   st_leases : Lease.t option;
-  st_quorum : (quorum_policy * string list option) option;
+  st_quorum : quorum_state option;
   st_reputation : Quality.Model.t;
-  st_votes : (open_id, (Reldb.Value.t * vote) list) Hashtbl.t;
+  st_votes : (open_id, (Reldb.Value.t * ballot) list) Hashtbl.t;
   st_dead : (open_tuple * Lease.reason) list;
 }
 
@@ -293,7 +298,7 @@ type history_chunk = {
 }
 
 let state_magic = "CYLOG-STATE/"
-let state_version = 2
+let state_version = 3
 let state_tag = state_magic ^ String.make 1 (Char.chr state_version)
 
 (* The entries of a reverse-chronological journal in front of [cut],
@@ -339,15 +344,14 @@ let state_parts t =
   end;
   let live =
     {
-      st_use_delta = t.use_delta;
-      st_use_planner = t.use_planner;
+      st_strategy = t.strategy;
       st_db = t.db;
       st_fired = t.fired;
       st_open_tbl = t.open_tbl;
       st_next_open = t.next_open;
       st_clock = t.clock;
       st_leases = t.leases;
-      st_quorum = Option.map (fun qs -> (qs.qs_policy, qs.qs_relations)) t.quorum;
+      st_quorum = t.quorum;
       st_reputation = t.reputation;
       st_votes = t.votes;
       st_dead = t.dead;
@@ -479,7 +483,7 @@ let declare_relations db (program : Ast.program) statements path_rels =
 
 (* --- Loading -------------------------------------------------------------- *)
 
-let make_info ~use_delta ((s : Ast.statement), origin) =
+let make_info strategy ((s : Ast.statement), origin) =
   let prefix, tail = Eval.split_tail s.body in
   let pos_preds =
     List.filter_map
@@ -516,12 +520,10 @@ let make_info ~use_delta ((s : Ast.statement), origin) =
     payoff_dedup =
       (match origin with Game_payoff _ -> true | Main | Game_path _ -> false);
     exhausted_gen = -1;
-    rescan_plan = None;
-    rescan_plan_key = [||];
     delta_plans = [||];
     delta_plans_key = [||];
     delta =
-      (if use_delta && pos_preds <> [] then
+      (if strategy = Optimized && pos_preds <> [] then
          Some
            {
              frontiers = Array.make n_atoms 0;
@@ -536,8 +538,7 @@ let make_info ~use_delta ((s : Ast.statement), origin) =
 
 let schedule_of db infos = Schedule.create db (Array.map (fun i -> i.body_rels) infos)
 
-let load ?(use_delta = true) ?(use_planner = true) ?(lint = `Strict)
-    (program : Ast.program) =
+let load ?(strategy = Optimized) ?(lint = `Strict) (program : Ast.program) =
   (match lint with
   | `Off -> ()
   | `Strict | `Warn -> (
@@ -557,12 +558,11 @@ let load ?(use_delta = true) ?(use_planner = true) ?(lint = `Strict)
   let statements = effective_statements program in
   let db = Reldb.Database.create () in
   declare_relations db program statements path_rels;
-  let infos = Array.of_list (List.map (make_info ~use_delta) statements) in
+  let infos = Array.of_list (List.map (make_info strategy) statements) in
   {
     db;
     builtins = Builtin.default ();
-    use_delta;
-    use_planner;
+    strategy;
     infos;
     schedule = schedule_of db infos;
     fired = Hashtbl.create 1024;
@@ -639,7 +639,7 @@ let add_statement t (s : Ast.statement) =
   (* New /update or /delete targets need no special handling: delta
      statements reading the affected relations watch their destruction
      counters and re-derive themselves when a mutation actually lands. *)
-  t.infos <- Array.append t.infos [| make_info ~use_delta:t.use_delta (s, Main) |];
+  t.infos <- Array.append t.infos [| make_info t.strategy (s, Main) |];
   t.schedule <- schedule_of t.db t.infos;
   t.analysis_cache <- None
 
@@ -715,46 +715,25 @@ let body_generation t info =
 
 (* --- Join plans -------------------------------------------------------------- *)
 
-(* Per-relation statistics key the plan caches are validated against:
+(* Per-relation statistics key the plan cache is validated against:
    one epoch per body relation, so a supply into an unrelated relation
    never evicts a plan, and appends into a body relation only do when
    they move its cardinality bucket (or after a destructive mutation). *)
 let plan_key t info = Planner.stats_key t.db info.body_rels
 
-(* The cached rescan plan for [info]. Returns [None] when planning is off
-   or the plan is the left-to-right order anyway (enumeration can then
-   keep its early-stop discipline). *)
-let rescan_plan t info ~key =
-  if not t.use_planner then None
-  else begin
-    (match info.rescan_plan with
-    | Some _ when info.rescan_plan_key = key ->
-        Telemetry.Metrics.incr (Telemetry.metrics t.tel) "planner.rescan_cache.hits"
-    | _ ->
-        Telemetry.Metrics.incr (Telemetry.metrics t.tel) "planner.rescan_cache.misses";
-        info.rescan_plan <- Some (Planner.plan t.db info.prefix);
-        info.rescan_plan_key <- key);
-    match info.rescan_plan with
-    | Some p when not p.Planner.identity -> Some p
-    | Some _ | None -> None
-  end
-
 (* Per-pinned-atom plans for a delta scan: scanning new rows of atom [i]
    evaluates the body with atom [i] pinned to one row, so each position
    gets its own plan with that atom costed at a single row. *)
 let delta_plans t info ~n_atoms =
-  if not t.use_planner then None
-  else begin
-    let key = plan_key t info in
-    if info.delta_plans_key <> key || Array.length info.delta_plans <> n_atoms then begin
-      Telemetry.Metrics.incr (Telemetry.metrics t.tel) "planner.delta_cache.misses";
-      info.delta_plans <-
-        Array.init n_atoms (fun i -> Planner.plan ~exact_atom:i t.db info.prefix);
-      info.delta_plans_key <- key
-    end
-    else Telemetry.Metrics.incr (Telemetry.metrics t.tel) "planner.delta_cache.hits";
-    Some info.delta_plans
+  let key = plan_key t info in
+  if info.delta_plans_key <> key || Array.length info.delta_plans <> n_atoms then begin
+    Telemetry.Metrics.incr (Telemetry.metrics t.tel) "planner.delta_cache.misses";
+    info.delta_plans <-
+      Array.init n_atoms (fun i -> Planner.plan ~exact_atom:i t.db info.prefix);
+    info.delta_plans_key <- key
   end
+  else Telemetry.Metrics.incr (Telemetry.metrics t.tel) "planner.delta_cache.hits";
+  info.delta_plans
 
 (* --- Head application -------------------------------------------------------- *)
 
@@ -1137,10 +1116,8 @@ let delta_scan t idx (info : stmt_info) (ds : delta_state) =
        for i = 0 to n_atoms - 1 do
          new_rows.(i) <- highs.(i) - ds.frontiers.(i);
          let reordered =
-           match plans with
-           | Some a when not a.(i).Planner.identity ->
-               Some (a.(i).Planner.literals, a.(i).Planner.order)
-           | Some _ | None -> None
+           if plans.(i).Planner.identity then None
+           else Some (plans.(i).Planner.literals, plans.(i).Planner.order)
          in
          for r = ds.frontiers.(i) to highs.(i) - 1 do
            let plan j =
@@ -1221,42 +1198,15 @@ let visit t i =
       else begin
         let found = ref None in
         (try
-           match rescan_plan t info ~key:(plan_key t info) with
-           | Some p ->
-               (* Planned enumeration produces valuations out of
-                  conflict-resolution order, so scan them all and keep
-                  the unfired instance valued by the earliest rows —
-                  exactly the instance left-to-right evaluation stops
-                  at first. *)
-               let best_key = ref None in
-               Eval.enumerate
-                 ~reordered:(p.Planner.literals, p.Planner.order)
-                 ~rows_scanned:t.rows_scanned t.builtins t.db info.prefix
-                 ~init:Binding.empty
-                 ~f:(fun m ->
-                   let fp = fingerprint i info m.support in
-                   if Hashtbl.mem t.fired fp then `Continue
-                   else begin
-                     let key =
-                       List.map (fun (_, row, ver) -> (row, ver)) m.support
-                     in
-                     (match !best_key with
-                     | Some k0 when compare k0 key <= 0 -> ()
-                     | _ ->
-                         best_key := Some key;
-                         found := Some (m, fp));
-                     `Continue
-                   end)
-           | None ->
-               Eval.enumerate ~rows_scanned:t.rows_scanned t.builtins t.db info.prefix
-                 ~init:Binding.empty
-                 ~f:(fun m ->
-                   let fp = fingerprint i info m.support in
-                   if Hashtbl.mem t.fired fp then `Continue
-                   else begin
-                     found := Some (m, fp);
-                     `Stop
-                   end)
+           Eval.enumerate ~rows_scanned:t.rows_scanned t.builtins t.db info.prefix
+             ~init:Binding.empty
+             ~f:(fun m ->
+               let fp = fingerprint i info m.support in
+               if Hashtbl.mem t.fired fp then `Continue
+               else begin
+                 found := Some (m, fp);
+                 `Stop
+               end)
          with Eval.Error msg ->
            runtime_error "statement %s: %s"
              (Option.value info.stmt.Ast.label ~default:(string_of_int i))
@@ -1269,12 +1219,11 @@ let visit t i =
       end
 
 (* Fire the first statement, in priority order, that has an unfired
-   instance; also return how many statements were examined. The rescan
-   reference examines every statement up to that one. The optimised
-   strategy examines only the statements its schedule holds awake: a
-   skipped statement yielded nothing when last examined and no relation
-   in its body has changed since, so examining it would yield nothing
-   again. *)
+   instance; also return how many statements were examined. [Reference]
+   examines every statement up to that one. [Optimized] examines only
+   the statements its schedule holds awake: a skipped statement yielded
+   nothing when last examined and no relation in its body has changed
+   since, so examining it would yield nothing again. *)
 let step_core t =
   let rec walk_all i examined =
     if i >= Array.length t.infos then (None, examined)
@@ -1293,11 +1242,11 @@ let step_core t =
           Schedule.sleep_first t.schedule;
           walk_awake (examined + 1)
   in
-  if t.use_delta then begin
-    Schedule.poll t.schedule;
-    walk_awake 0
-  end
-  else walk_all 0 0
+  match t.strategy with
+  | Optimized ->
+      Schedule.poll t.schedule;
+      walk_awake 0
+  | Reference -> walk_all 0 0
 
 (* One machine step, metered: step count, statements examined and the
    candidate rows the step's enumerations scanned. *)
@@ -1411,13 +1360,18 @@ let task_view t (o : open_tuple) =
 
 let find_open t id = Hashtbl.find_opt t.open_tbl id
 
-let resolve t id =
+(* Take a task out of the pending pool, with its banked votes and its
+   span record. *)
+let remove_pending t id =
   Hashtbl.remove t.open_tbl id;
   prune_open_ids t;
   Hashtbl.remove t.votes id;
   Hashtbl.remove t.task_spans id;
   Telemetry.Metrics.set_gauge (Telemetry.metrics t.tel) "open.pending"
-    (Hashtbl.length t.open_tbl);
+    (Hashtbl.length t.open_tbl)
+
+let resolve t id =
+  remove_pending t id;
   match t.leases with Some l -> Lease.forget l ~open_id:id | None -> ()
 
 (* Parent handle for spans about a pending task: its "task" span if one
@@ -1442,12 +1396,9 @@ let set_lease_config t cfg =
   journal t (J_set_lease cfg);
   t.leases <- Option.map Lease.create cfg
 
-let install_quorum t entry =
-  journal t (J_set_quorum entry);
-  t.quorum <-
-    Option.map
-      (fun (policy, relations) -> { qs_policy = policy; qs_relations = relations })
-      entry;
+let install_quorum t qs =
+  journal t (J_set_quorum qs);
+  t.quorum <- qs;
   (* The certificate charges per-task answers from the quorum policy. *)
   t.analysis_cache <- None
 
@@ -1462,7 +1413,7 @@ let check_policy = function
 
 let set_quorum_policy t ?relations policy =
   check_policy policy;
-  install_quorum t (Some (policy, relations))
+  install_quorum t (Some { qs_policy = policy; qs_relations = relations })
 
 let quorum_policy_of t = Option.map (fun qs -> qs.qs_policy) t.quorum
 
@@ -1591,12 +1542,7 @@ let dead_letters t = List.rev t.dead
    an auditable event in the log. *)
 let dead_letter t (o : open_tuple) reason =
   let parent = task_parent t o.id in
-  Hashtbl.remove t.open_tbl o.id;
-  prune_open_ids t;
-  Hashtbl.remove t.votes o.id;
-  Hashtbl.remove t.task_spans o.id;
-  Telemetry.Metrics.set_gauge (Telemetry.metrics t.tel) "open.pending"
-    (Hashtbl.length t.open_tbl);
+  remove_pending t o.id;
   (match t.leases with Some l -> Lease.mark_dead l ~open_id:o.id reason | None -> ());
   t.dead <- (o, reason) :: t.dead;
   t.clock <- t.clock + 1;
@@ -1759,29 +1705,40 @@ let type_mismatch t (o : open_tuple) values =
         | Some _ | None -> None)
     values
 
-let record_vote t (o : open_tuple) worker vote =
+let record_vote t (o : open_tuple) worker ballot =
   let prev = Option.value (Hashtbl.find_opt t.votes o.id) ~default:[] in
-  Hashtbl.replace t.votes o.id ((worker, vote) :: prev);
+  Hashtbl.replace t.votes o.id ((worker, ballot) :: prev);
   List.length prev + 1
 
-(* Plurality over each open attribute's votes in arrival order ([Null]
-   when it has none) — how [Fixed] tasks resolve and [Adaptive] tasks
-   escalate. *)
-let plurality_votes t (o : open_tuple) =
-  let chronological =
-    List.rev_map
-      (function
-        | _, Vote_values vs -> vs
-        | _, Vote_exists _ -> [])
-      (Option.value (Hashtbl.find_opt t.votes o.id) ~default:[])
-  in
-  List.map
-    (fun attr ->
-      ( attr,
-        Option.value ~default:Reldb.Value.Null
-          (Quality.Aggregate.plurality
-             (List.filter_map (fun vs -> List.assoc_opt attr vs) chronological)) ))
-    o.open_attrs
+(* The slots a task's ballots bind (see [ballot]). *)
+let slots (o : open_tuple) = if o.existence then [ exists_slot ] else o.open_attrs
+
+(* A task's banked ballots with their voters, in arrival order. *)
+let ballots t (o : open_tuple) =
+  List.rev (Option.value (Hashtbl.find_opt t.votes o.id) ~default:[])
+
+(* How [Fixed] tasks resolve and [Adaptive] tasks escalate: the one
+   decision rule that depends on the kind of question. A value question
+   takes the plurality of each open attribute's votes in arrival order
+   ([Null] when it has none); an existence question takes a strict
+   majority of yes votes, so a tie is no. *)
+let fallback_decision t (o : open_tuple) =
+  let ballots = List.map snd (ballots t o) in
+  if o.existence then
+    let ayes =
+      List.length
+        (List.filter
+           (fun b -> Reldb.Value.equal (List.assoc exists_slot b) (Reldb.Value.Bool true))
+           ballots)
+    in
+    [ (exists_slot, Reldb.Value.Bool (2 * ayes > List.length ballots)) ]
+  else
+    List.map
+      (fun attr ->
+        ( attr,
+          Option.value ~default:Reldb.Value.Null
+            (Quality.Aggregate.plurality (List.filter_map (List.assoc_opt attr) ballots)) ))
+      o.open_attrs
 
 (* --- Worker reputation and the adaptive stopping rule ----------------------- *)
 
@@ -1811,71 +1768,45 @@ let observe_reputation t w ~agreed =
       (int_of_float
          ((Quality.Model.reliability t.reputation key *. 1000.) +. 0.5))
 
-(* On resolution, every banked ballot is scored against the chosen tuple:
-   one agreement event per open attribute the voter matched (or missed). *)
-let note_value_agreements t (o : open_tuple) chosen =
+(* On resolution, every banked ballot is scored against the decision:
+   one agreement event per slot the voter matched (or missed). *)
+let note_agreements t (o : open_tuple) decided =
   List.iter
-    (fun (w, v) ->
-      match v with
-      | Vote_values vs ->
-          List.iter
-            (fun (attr, c) ->
-              match List.assoc_opt attr vs with
-              | Some b -> observe_reputation t w ~agreed:(Reldb.Value.equal b c)
-              | None -> ())
-            chosen
-      | Vote_exists _ -> ())
-    (List.rev (Option.value (Hashtbl.find_opt t.votes o.id) ~default:[]))
+    (fun (w, ballot) ->
+      List.iter
+        (fun (slot, c) ->
+          match List.assoc_opt slot ballot with
+          | Some b -> observe_reputation t w ~agreed:(Reldb.Value.equal b c)
+          | None -> ())
+        decided)
+    (ballots t o)
 
-let note_exists_agreements t (o : open_tuple) ~verdict =
-  List.iter
-    (fun (w, v) ->
-      match v with
-      | Vote_exists yes -> observe_reputation t w ~agreed:(yes = verdict)
-      | Vote_values _ -> ())
-    (List.rev (Option.value (Hashtbl.find_opt t.votes o.id) ~default:[]))
-
-(* Chronological votes on one open attribute, weighted by each voter's
-   current reliability — the input shape of {!Quality.Decide}. *)
-let weighted_value_slots t (o : open_tuple) =
-  let chronological =
-    List.rev (Option.value (Hashtbl.find_opt t.votes o.id) ~default:[])
-  in
+(* Each slot's votes in arrival order, weighted by each voter's current
+   reliability — the input shape of {!Quality.Decide}. *)
+let weighted_slots t (o : open_tuple) =
+  let ballots = ballots t o in
   List.map
-    (fun attr ->
-      ( attr,
+    (fun slot ->
+      ( slot,
         List.filter_map
-          (fun (w, v) ->
-            match v with
-            | Vote_values vs ->
-                Option.map
-                  (fun x -> (x, worker_reliability t w))
-                  (List.assoc_opt attr vs)
-            | Vote_exists _ -> None)
-          chronological ))
-    o.open_attrs
-
-let weighted_exists_votes t (o : open_tuple) =
-  List.filter_map
-    (fun (w, v) ->
-      match v with
-      | Vote_exists yes -> Some (Reldb.Value.Bool yes, worker_reliability t w)
-      | Vote_values _ -> None)
-    (List.rev (Option.value (Hashtbl.find_opt t.votes o.id) ~default:[]))
+          (fun (w, ballot) ->
+            Option.map (fun x -> (x, worker_reliability t w)) (List.assoc_opt slot ballot))
+          ballots ))
+    (slots o)
 
 let pct p = int_of_float ((p *. 100.) +. 0.5)
 
 (* The per-task stopping rule of an [Adaptive] policy, combining the
-   per-attribute verdicts of {!Quality.Decide.decide} (every ballot binds
-   every open attribute, so all slots hold the same number of votes):
-   resolve only when every slot is confident, escalate to plurality once
+   per-slot verdicts of {!Quality.Decide.decide} (every ballot binds
+   every slot, so all slots hold the same number of votes): resolve only
+   when every slot is confident, escalate to the fallback decision once
    any slot hits the cap unconvinced, keep asking otherwise. The reported
    posterior is the weakest slot's. *)
 let adaptive_verdict t cfg (o : open_tuple) =
   let verdicts =
     List.map
-      (fun (attr, votes) -> (attr, Quality.Decide.decide cfg votes))
-      (weighted_value_slots t o)
+      (fun (slot, votes) -> (slot, Quality.Decide.decide cfg votes))
+      (weighted_slots t o)
   in
   let slot_posterior = function
     | Quality.Decide.Resolve (_, p) | Quality.Decide.Escalate p -> p
@@ -1893,9 +1824,9 @@ let adaptive_verdict t cfg (o : open_tuple) =
   then
     `Resolve
       ( List.map
-          (fun (attr, v) ->
+          (fun (slot, v) ->
             match v with
-            | Quality.Decide.Resolve (c, _) -> (attr, c)
+            | Quality.Decide.Resolve (c, _) -> (slot, c)
             | _ -> assert false)
           verdicts,
         pct min_posterior,
@@ -1911,23 +1842,17 @@ let task_uncertainty t id =
   match find_open t id with
   | None -> 0.0
   | Some o ->
-      if o.existence then Quality.Decide.uncertainty (weighted_exists_votes t o)
-      else
-        List.fold_left
-          (fun acc (_, votes) -> Float.max acc (Quality.Decide.uncertainty votes))
-          0.0
-          (weighted_value_slots t o)
+      List.fold_left
+        (fun acc (_, votes) -> Float.max acc (Quality.Decide.uncertainty votes))
+        0.0 (weighted_slots t o)
 
 let task_posteriors t id =
   match find_open t id with
   | None -> []
   | Some o ->
-      if o.existence then
-        [ ("(exists)", Quality.Decide.posteriors (weighted_exists_votes t o)) ]
-      else
-        List.map
-          (fun (attr, votes) -> (attr, Quality.Decide.posteriors votes))
-          (weighted_value_slots t o)
+      List.map
+        (fun (slot, votes) -> (slot, Quality.Decide.posteriors votes))
+        (weighted_slots t o)
 
 let votes_banked t id =
   match Hashtbl.find_opt t.votes id with Some vs -> List.length vs | None -> 0
@@ -1937,78 +1862,91 @@ let has_voted t id ~worker =
   | None -> false
   | Some o -> already_voted t o worker
 
-let supply_checked t id ~worker values =
+(* Why a value ballot is refused: it must bind exactly the open
+   attributes, with values of the types their columns hold. *)
+let ballot_error t (o : open_tuple) ballot =
+  let expected = List.sort String.compare o.open_attrs in
+  let given = List.sort String.compare (List.map fst ballot) in
+  if expected <> given then Some (Wrong_attrs { expected; given })
+  else type_mismatch t o ballot
+
+(* The effect of a decided ballot: a value answer inserts the bound
+   tuple completed with its values; an existence answer inserts the
+   bound tuple on yes and nothing on no. *)
+let apply_decision t (o : open_tuple) decided =
+  if not o.existence then
+    insert_tuple t o.relation (Reldb.Tuple.to_list o.bound @ decided)
+  else if Reldb.Value.equal (List.assoc exists_slot decided) (Reldb.Value.Bool true) then
+    insert_tuple t o.relation (Reldb.Tuple.to_list o.bound)
+  else No_effect
+
+(* The one answer path of value and existence questions. Events carry
+   the values of a value answer and none of an existence answer. *)
+let answer_checked t id ~worker ~existence ballot =
   match find_open t id with
   | None -> Error (Stale id)
-  | Some o ->
-      if o.existence then Error Wrong_question
+  | Some o -> (
+      if o.existence <> existence then Error Wrong_question
       else if not (worker_may_answer t o worker) then Error Not_lease_holder
       else if already_voted t o worker then Error Already_voted
-      else begin
-        let expected = List.sort String.compare o.open_attrs in
-        let given = List.sort String.compare (List.map fst values) in
-        if expected <> given then begin
-          note_rejected_answer t o;
-          Error (Wrong_attrs { expected; given })
-        end
-        else
-          match type_mismatch t o values with
-          | Some r ->
-              note_rejected_answer t o;
-              Error r
-          | None -> (
-              match quorum_for t o with
-              | Some qs -> (
-                  let n = record_vote t o worker (Vote_values values) in
-                  let resolve_with ?adaptive chosen =
-                    note_value_agreements t o chosen;
-                    let bound = Reldb.Tuple.to_list o.bound @ chosen in
-                    let effect = insert_tuple t o.relation bound in
-                    resolve t id;
-                    let effects =
-                      Vote_recorded (o.id, n)
-                      ::
-                      (match adaptive with
-                      | Some (posterior_pct, escalated) ->
-                          [ Adaptive_resolved
-                              { open_id = o.id; posterior_pct; escalated };
-                            effect ]
-                      | None -> [ effect ])
-                    in
-                    Ok (human_event t o worker effects chosen)
+      else
+        match if existence then None else ballot_error t o ballot with
+        | Some r ->
+            note_rejected_answer t o;
+            Error r
+        | None -> (
+            let carried values = if existence then [] else values in
+            match quorum_for t o with
+            | None ->
+                let effect = apply_decision t o ballot in
+                (* [Resolved] retires the task (see [Fold.retirements]); a
+                   standing (repeatable) task stays pending after a value
+                   answer. *)
+                if o.repeatable && not existence then begin
+                  release_lease t o worker;
+                  Ok (human_event t o worker [ effect ] ballot)
+                end
+                else begin
+                  resolve t id;
+                  Ok (human_event t o worker [ effect; Resolved o.id ] (carried ballot))
+                end
+            | Some qs -> (
+                let n = record_vote t o worker ballot in
+                let resolve_with ?adaptive decided =
+                  note_agreements t o decided;
+                  let effect = apply_decision t o decided in
+                  resolve t id;
+                  let effects =
+                    match adaptive with
+                    | Some (posterior_pct, escalated) ->
+                        [ Adaptive_resolved { open_id = o.id; posterior_pct; escalated };
+                          effect ]
+                    | None -> [ effect ]
                   in
-                  let pending () =
-                    (* The vote is banked; the task stays pending until the
-                       quorum (or the confidence threshold) is reached. *)
-                    release_lease t o worker;
-                    Ok (human_event t o worker [ Vote_recorded (o.id, n) ] values)
-                  in
-                  match qs.qs_policy with
-                  | Fixed k ->
-                      if n < k then pending () else resolve_with (plurality_votes t o)
-                  | Adaptive { tau; min_votes; max_votes } -> (
-                      match
-                        adaptive_verdict t { Quality.Decide.tau; min_votes; max_votes } o
-                      with
-                      | `Pending -> pending ()
-                      | `Resolve (chosen, posterior_pct, escalated) ->
-                          resolve_with ~adaptive:(posterior_pct, escalated) chosen
-                      | `Escalate posterior_pct ->
-                          resolve_with ~adaptive:(posterior_pct, true) (plurality_votes t o)))
-              | None ->
-                  let bound = Reldb.Tuple.to_list o.bound @ values in
-                  let effect = insert_tuple t o.relation bound in
-                  (* [Resolved] retires the task (see [Fold.retirements]);
-                     standing (repeatable) tasks never retire. *)
-                  if o.repeatable then begin
-                    release_lease t o worker;
-                    Ok (human_event t o worker [ effect ] values)
-                  end
-                  else begin
-                    resolve t id;
-                    Ok (human_event t o worker [ effect; Resolved o.id ] values)
-                  end)
-      end
+                  Ok
+                    (human_event t o worker
+                       (Vote_recorded (o.id, n) :: effects)
+                       (carried decided))
+                in
+                let pending () =
+                  (* The vote is banked; the task stays pending until the
+                     quorum (or the confidence threshold) is reached. *)
+                  release_lease t o worker;
+                  Ok (human_event t o worker [ Vote_recorded (o.id, n) ] (carried ballot))
+                in
+                match qs.qs_policy with
+                | Fixed k ->
+                    if n < k then pending () else resolve_with (fallback_decision t o)
+                | Adaptive { tau; min_votes; max_votes } -> (
+                    match
+                      adaptive_verdict t { Quality.Decide.tau; min_votes; max_votes } o
+                    with
+                    | `Pending -> pending ()
+                    | `Resolve (decided, posterior_pct, escalated) ->
+                        resolve_with ~adaptive:(posterior_pct, escalated) decided
+                    | `Escalate posterior_pct ->
+                        resolve_with ~adaptive:(posterior_pct, true)
+                          (fallback_decision t o)))))
 
 (* Engine-local outcome counters for human answers. Accepted answers are
    counted by the event fold; rejections leave no event, so they are
@@ -2057,99 +1995,35 @@ let trace_answer t id ~worker ~parent result =
             @ match vote with Some n -> [ ("votes", string_of_int n) ] | None -> [])
           ~clock:t.clock
 
-let supply t id ~worker values =
-  journal t (J_supply (id, worker, values));
+let answer t entry id ~worker ~existence ballot =
+  journal t entry;
   let parent = if Telemetry.tracing t.tel then task_parent t id else Telemetry.none in
-  let result = supply_checked t id ~worker values in
+  let result = answer_checked t id ~worker ~existence ballot in
   note_answer_metrics t ~worker result;
   trace_answer t id ~worker ~parent result;
   result
 
-let answer_existence_checked t id ~worker yes =
-  match find_open t id with
-  | None -> Error (Stale id)
-  | Some o ->
-      if not o.existence then Error Wrong_question
-      else if not (worker_may_answer t o worker) then Error Not_lease_holder
-      else if already_voted t o worker then Error Already_voted
-      else (
-        match quorum_for t o with
-        | Some qs -> (
-            let n = record_vote t o worker (Vote_exists yes) in
-            let pending () =
-              release_lease t o worker;
-              Ok (human_event t o worker [ Vote_recorded (o.id, n) ] [])
-            in
-            let strict_majority () =
-              let ayes =
-                List.fold_left
-                  (fun acc (_, v) ->
-                    match v with Vote_exists true -> acc + 1 | _ -> acc)
-                  0
-                  (Hashtbl.find t.votes o.id)
-              in
-              2 * ayes > n
-            in
-            let resolve_with ?adaptive verdict =
-              note_exists_agreements t o ~verdict;
-              let effects =
-                if verdict then
-                  [ insert_tuple t o.relation (Reldb.Tuple.to_list o.bound) ]
-                else [ No_effect ]
-              in
-              let effects =
-                match adaptive with
-                | Some (posterior_pct, escalated) ->
-                    Adaptive_resolved { open_id = o.id; posterior_pct; escalated }
-                    :: effects
-                | None -> effects
-              in
-              resolve t id;
-              Ok (human_event t o worker (Vote_recorded (o.id, n) :: effects) [])
-            in
-            match qs.qs_policy with
-            | Fixed k -> if n < k then pending () else resolve_with (strict_majority ())
-            | Adaptive { tau; min_votes; max_votes } -> (
-                match
-                  Quality.Decide.decide
-                    { Quality.Decide.tau; min_votes; max_votes }
-                    (weighted_exists_votes t o)
-                with
-                | Quality.Decide.Ask_more -> pending ()
-                | Quality.Decide.Resolve (v, p) ->
-                    resolve_with ~adaptive:(pct p, false)
-                      (Reldb.Value.equal v (Reldb.Value.Bool true))
-                | Quality.Decide.Escalate p ->
-                    resolve_with ~adaptive:(pct p, true) (strict_majority ())))
-        | None ->
-            let effects =
-              if yes then [ insert_tuple t o.relation (Reldb.Tuple.to_list o.bound) ]
-              else [ No_effect ]
-            in
-            resolve t id;
-            Ok (human_event t o worker (effects @ [ Resolved o.id ]) []))
+let supply t id ~worker values =
+  answer t (J_supply (id, worker, values)) id ~worker ~existence:false values
 
 let answer_existence t id ~worker yes =
-  journal t (J_answer (id, worker, yes));
-  let parent = if Telemetry.tracing t.tel then task_parent t id else Telemetry.none in
-  let result = answer_existence_checked t id ~worker yes in
-  note_answer_metrics t ~worker result;
-  trace_answer t id ~worker ~parent result;
-  result
+  answer t (J_answer (id, worker, yes)) id ~worker ~existence:true
+    [ (exists_slot, Reldb.Value.Bool yes) ]
 
 (* --- EXPLAIN -------------------------------------------------------------------- *)
 
 (* Render the evidence behind the engine's current evaluation choices:
-   per rule the strategy, the join order the planner would pick against
-   today's statistics (with the estimated rows that justified each pick),
-   and whether the cached compiled plan is still valid; then the lease and
-   quorum runtime state the pending tasks live under. Planning here calls
-   [Planner.plan] directly — it never touches the plan caches or their
-   hit/miss counters, so EXPLAIN is observation-only. *)
+   per rule its path; for a delta rule the join order the planner would
+   pick against today's statistics (with the estimated rows that
+   justified each pick) and whether the cached compiled plans are still
+   valid; then the lease and quorum runtime state the pending tasks live
+   under. Planning here calls [Planner.plan] directly — it never touches
+   the plan caches or their hit/miss counters, so EXPLAIN is
+   observation-only. *)
 let pp_explain fmt t =
-  Format.fprintf fmt "EXPLAIN  (clock %d, %d statements, planner %s)@." t.clock
+  Format.fprintf fmt "EXPLAIN  (clock %d, %d statements, strategy %s)@." t.clock
     (Array.length t.infos)
-    (if t.use_planner then "on" else "off");
+    (match t.strategy with Optimized -> "optimized" | Reference -> "reference");
   (* Static task bounds, paired with each rule's open heads in order per
      relation (the certificate lists bounds in statement order, so the
      queues line up with the traversal below). *)
@@ -2176,16 +2050,16 @@ let pp_explain fmt t =
   in
   Array.iteri
     (fun i info ->
-      let key = plan_key t info in
       Format.fprintf fmt "@.rule %s  [%s]@."
         (Fold.stmt_key info.stmt.Ast.label i)
         (if info.delta = None then "rescan" else "delta");
-      (match info.pos_preds with
-      | [] -> Format.fprintf fmt "  join: none (fact or filter-only body)@."
-      | _ when not t.use_planner ->
-          Format.fprintf fmt "  join: %s  (left-to-right, planner off)@."
+      (match (info.pos_preds, info.delta) with
+      | [], _ -> Format.fprintf fmt "  join: none (fact or filter-only body)@."
+      | _, None ->
+          Format.fprintf fmt "  join: %s  (left-to-right)@."
             (String.concat " -> " info.pos_preds)
-      | _ ->
+      | _, Some _ ->
+          let key = plan_key t info in
           let plan = Planner.plan t.db info.prefix in
           Format.fprintf fmt "  join: %s%s@."
             (String.concat " -> "
@@ -2195,15 +2069,9 @@ let pp_explain fmt t =
                   plan.Planner.steps))
             (if plan.Planner.identity then "  (identity order)" else "");
           let cache =
-            if info.delta <> None then
-              if Array.length info.delta_plans = 0 then "not yet compiled"
-              else if info.delta_plans_key = key then "fresh"
-              else "stale (statistics epoch moved)"
-            else
-              match info.rescan_plan with
-              | None -> "not yet compiled"
-              | Some _ when info.rescan_plan_key = key -> "fresh"
-              | Some _ -> "stale (statistics epoch moved)"
+            if Array.length info.delta_plans = 0 then "not yet compiled"
+            else if info.delta_plans_key = key then "fresh"
+            else "stale (statistics epoch moved)"
           in
           Format.fprintf fmt "  plan cache: %s  (stats key %s)@." cache
             (String.concat "."
@@ -2475,9 +2343,7 @@ let restore_state payload =
       [] !journal
   in
   let statements = effective_statements program @ added in
-  let infos =
-    Array.of_list (List.map (make_info ~use_delta:p.st_use_delta) statements)
-  in
+  let infos = Array.of_list (List.map (make_info p.st_strategy) statements) in
   let tel = Telemetry.create () in
   (* The journal-derived counters and the monitor are derived state: one
      fold of the restored events rebuilds both, byte-identical to the
@@ -2492,8 +2358,7 @@ let restore_state payload =
   {
     db = p.st_db;
     builtins = Builtin.default ();
-    use_delta = p.st_use_delta;
-    use_planner = p.st_use_planner;
+    strategy = p.st_strategy;
     infos;
     schedule = schedule_of p.st_db infos;
     fired = p.st_fired;
@@ -2508,10 +2373,7 @@ let restore_state payload =
     views = program.views;
     program;
     leases = p.st_leases;
-    quorum =
-      Option.map
-        (fun (policy, relations) -> { qs_policy = policy; qs_relations = relations })
-        p.st_quorum;
+    quorum = p.st_quorum;
     reputation = p.st_reputation;
     votes = p.st_votes;
     dead = p.st_dead;

@@ -125,8 +125,31 @@ type quorum_policy =
   | Fixed of int
   | Adaptive of { tau : float; min_votes : int; max_votes : int }
 
-val load : ?use_delta:bool -> ?use_planner:bool ->
-  ?lint:[ `Strict | `Warn | `Off ] -> Ast.program -> t
+(** How the engine finds the next instance to fire. The two strategies
+    are trace-identical: they fire the same instances in the same order
+    and produce the same events and journal byte for byte.
+
+    - [Optimized] — seminaive (differential) evaluation for every
+      statement with at least one positive body atom: the engine keeps a
+      ΔR frontier per body atom and drives rule firing by new-facts-only
+      joins, each joined in a cost-based order ({!Planner.plan}, one plan
+      per pinned atom, cached per statement until the body's statistics
+      move), and merges discoveries into a pending set ordered by support
+      key. Statements whose body relations are targets of /update or
+      /delete stay differential between destructive mutations and
+      re-derive — scoped to themselves, not the program — when one
+      lands. A step examines a statement only if it fired when last
+      examined or a relation in its body changed since (see
+      {!Schedule}). Fact and filter-only statements take the rescan path
+      below.
+    - [Reference] — every step walks every statement in priority order,
+      and each one enumerates its whole join left to right up to its
+      first unfired instance. Asymptotically slower, it shares none of
+      the planner, delta or schedule code, which makes it the baseline of
+      the differential tests. *)
+type strategy = Reference | Optimized
+
+val load : ?strategy:strategy -> ?lint:[ `Strict | `Warn | `Off ] -> Ast.program -> t
 (** Build an engine: declare schemas (inferring schemas of undeclared
     relations from usage), desugar game aspects into path/payoff statements,
     and declare the [Payoff] relation and per-game path tables. The engine
@@ -151,28 +174,8 @@ val load : ?use_delta:bool -> ?use_planner:bool ->
     refreshes the certificate with live database cardinalities, so host
     inserts through the API never false-positive).
 
-    [use_delta] (default [true]) enables seminaive (differential)
-    evaluation for every statement with at least one positive body atom:
-    the engine keeps a ΔR frontier per body atom and drives rule firing
-    by new-facts-only joins, merging discoveries into a pending set
-    ordered by support key. Statements whose body relations are targets
-    of /update or /delete stay differential between destructive
-    mutations and re-derive — scoped to themselves, not the program —
-    when one lands. A step examines a statement only if it fired when
-    last examined or a relation in its body changed since (see
-    {!Schedule}). The two strategies are trace-identical: with [false]
-    every step walks every statement in priority order and each one
-    re-enumerates its whole join (the reference strategy —
-    asymptotically slower but the differential-testing baseline), and
-    produces the same events and journal byte for byte.
-
-    [use_planner] (default [true]) enables cost-based reordering of each
-    statement body via {!Planner.plan}, with plans cached per statement
-    and recomputed when the body's relations change. Planning never
-    changes semantics — valuations are replayed over the original body
-    order and the conflict-resolution winner is selected explicitly (see
-    {!Eval.enumerate}) — so [false] exists purely as the reference
-    strategy for differential testing and ablation.
+    [strategy] (default [Optimized]) picks the evaluation path; state
+    records carry it, so a restored or recovered engine keeps it.
     @raise Runtime_error on inconsistent declarations.
     @raise Lint.Rejected in [`Strict] mode on ill-formed programs. *)
 
@@ -274,8 +277,10 @@ val supply : t -> open_id -> worker:Reldb.Value.t ->
 val answer_existence : t -> open_id -> worker:Reldb.Value.t -> bool ->
   (event, reject) result
 (** Answer an existence question: [true] inserts the bound tuple, [false]
-    just resolves the open tuple. Quorum tasks resolve on the [k]-th vote
-    by strict majority of yes-votes. *)
+    just resolves the open tuple. The answer takes {!supply}'s path as a
+    ballot with one slot, ["(exists)"], bound to [Bool yes]: quorum tasks
+    bank it as a vote, resolve on the [k]-th vote by strict majority of
+    yes votes (a tie is no), and score their voters as value tasks do. *)
 
 val decline : t -> open_id -> unit
 (** Drop a pending open tuple without an answer (e.g. end of campaign).
@@ -328,9 +333,10 @@ val task_uncertainty : t -> open_id -> float
     score. *)
 
 val task_posteriors : t -> open_id -> (string * (Reldb.Value.t * float) list) list
-(** Per open attribute (or [("(exists)", ...)] for existence questions),
-    the candidate posteriors of the banked votes, best first. Empty for
-    unknown ids or tasks without votes. *)
+(** Per answer slot — each open attribute, or ["(exists)"] for an
+    existence question — the candidate posteriors of the banked votes,
+    best first (none for a slot without votes). Empty for unknown
+    ids. *)
 
 val votes_banked : t -> open_id -> int
 (** Votes banked so far on a pending quorum task (0 otherwise). *)
@@ -445,10 +451,11 @@ val monitor_sample : t -> round:int -> Monitor.firing list
     the metrics registry disabled. *)
 
 val explain : t -> string
-(** Render the engine's current evaluation evidence: per rule the
-    strategy (delta/rescan), the join order the planner picks against the
-    live statistics with its row estimates, the compiled-plan cache
-    status, and — for delta statements — the delta view: each atom's
+(** Render the engine's current evaluation evidence: the engine's
+    {!strategy}, then per rule its path (delta/rescan). A rescan rule
+    joins left to right. A delta rule shows the join order the planner
+    picks against the live statistics with its row estimates, the
+    compiled-plan cache status, and the delta view: each atom's
     frontier, which atoms served as the delta atom in the last productive
     round (with the ΔR sizes consumed), whether that round ran
     differentially or fell back to a scoped re-derivation, and how many
@@ -515,9 +522,9 @@ val journal_dump : t -> string
     bytes are canonical: two engines holding logically equal journals
     produce byte-identical dumps whether they were driven live, restored
     from a checkpoint, or recovered from a WAL. Unlike {!snapshot_string}
-    it carries no engine flags — the comparison surface for the
-    differential tests pitting semi-naive delta evaluation against full
-    rescans, and for the crash-point harness's prefix checks. *)
+    it does not carry the engine's {!strategy} — the comparison surface
+    for the differential tests pitting [Optimized] against [Reference],
+    and for the crash-point harness's prefix checks. *)
 
 val restore_string : string -> t
 (** Rebuild the engine a checkpoint image holds. Never lints: the program
@@ -535,7 +542,7 @@ val restore_string : string -> t
     entries, not O(journal length).
 
     A genesis or compaction record's payload is a version tag
-    (["CYLOG-STATE/"] and the version byte, 2), the marshalled program,
+    (["CYLOG-STATE/"] and the version byte, 3), the marshalled program,
     the marshalled live state and the history chunks: each chunk holds the events and journal entries
     appended between two records and is marshalled once, by the record
     that cuts it. The engine keeps those strings, so a compaction

@@ -46,8 +46,7 @@ rules:
 |};
   Buffer.contents buf
 
-let load ?use_planner m ~input =
-  Cylog.Engine.load ?use_planner (Cylog.Parser.parse_exn (to_source m ~input))
+let load m ~input = Cylog.Engine.load (Cylog.Parser.parse_exn (to_source m ~input))
 
 type run_result = {
   state : string;
@@ -80,8 +79,8 @@ let read_result engine engine_steps =
   in
   { state; head; tape; engine_steps }
 
-let run ?(max_steps = 100_000) ?use_planner m ~input =
-  let engine = load ?use_planner m ~input in
+let run ?(max_steps = 100_000) m ~input =
+  let engine = load m ~input in
   let steps, _ = Cylog.Engine.run engine ~max_steps in
   read_result engine steps
 

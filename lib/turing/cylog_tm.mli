@@ -13,9 +13,8 @@
 val to_source : Machine.t -> input:string list -> string
 (** CyLog source text for the machine on the given input. *)
 
-val load : ?use_planner:bool -> Machine.t -> input:string list -> Cylog.Engine.t
-(** Parse and load {!to_source}. [use_planner] is passed through to
-    {!Cylog.Engine.load}. *)
+val load : Machine.t -> input:string list -> Cylog.Engine.t
+(** Parse and load {!to_source}. *)
 
 type run_result = {
   state : string;
@@ -24,12 +23,10 @@ type run_result = {
   engine_steps : int;
 }
 
-val run : ?max_steps:int -> ?use_planner:bool -> Machine.t ->
-  input:string list -> run_result
+val run : ?max_steps:int -> Machine.t -> input:string list -> run_result
 (** Execute the CyLog encoding to fixpoint (or [max_steps] engine steps,
     default 100_000) and read the final configuration back out of the
-    database. [use_planner:false] selects the reference join order, for
-    differential testing. *)
+    database. *)
 
 val agrees_with_direct : ?max_steps:int -> Machine.t -> input:string list -> bool
 (** Theorem 4 check: the CyLog encoding and the direct implementation halt

@@ -79,7 +79,7 @@ let collect_extracts db =
             int_of (Reldb.Tuple.get_or_null t "rid") ))
         (Reldb.Relation.tuples rel)
 
-let run ?(seed = 7) ?corpus ?workers ?use_delta ?use_planner ?lease
+let run ?(seed = 7) ?corpus ?workers ?strategy ?lease
     ?policy ?monitor ?on_alert ?faults ?sink ?journal ?journal_config
     ?storage_faults variant =
   let corpus = match corpus with Some c -> c | None -> Tweets.Generator.corpus () in
@@ -107,7 +107,7 @@ let run ?(seed = 7) ?corpus ?workers ?use_delta ?use_planner ?lease
           ~storage:(Cylog.Storage.Sim.storage !store) engine dir
     | None -> Cylog.Engine.journal_start ?config:journal_config engine dir
   in
-  let engine = Cylog.Engine.load ?use_delta ?use_planner program in
+  let engine = Cylog.Engine.load ?strategy program in
   Option.iter (start_journal engine) jdir;
   (match sink with Some s -> Cylog.Engine.set_sink engine s | None -> ());
   let shared = Policies.prepare ~seed ~corpus ~workers in

@@ -29,7 +29,7 @@ val default_workers : Programs.variant -> Crowd.Worker.profile list
 
 val run :
   ?seed:int -> ?corpus:Tweets.Generator.tweet list ->
-  ?workers:Crowd.Worker.profile list -> ?use_delta:bool -> ?use_planner:bool ->
+  ?workers:Crowd.Worker.profile list -> ?strategy:Cylog.Engine.strategy ->
   ?lease:Cylog.Lease.config -> ?policy:Cylog.Engine.quorum_policy ->
   ?monitor:Cylog.Monitor.config ->
   ?on_alert:(Cylog.Monitor.firing -> [ `Warn | `Pause | `Stop ]) ->
@@ -38,11 +38,10 @@ val run :
   ?journal_config:Cylog.Journal.config ->
   ?storage_faults:Crowd.Faults.storage_fault list -> Programs.variant -> outcome
 (** Run a variant to termination (all (tweet, attribute) pairs agreed) on
-    the standard corpus (463 tweets) with the default crowd. [use_delta]
-    and [use_planner] are passed through to {!Cylog.Engine.load} —
-    [~use_delta:false] selects the naive full-rescan evaluation strategy
-    and [~use_planner:false] the reference left-to-right join order, for
-    differential testing of semi-naive evaluation and the planner. [lease]
+    the standard corpus (463 tweets) with the default crowd. [strategy]
+    is passed through to {!Cylog.Engine.load} — [~strategy:Reference]
+    selects the rescan evaluation the differential tests hold the
+    default [Optimized] to. [lease]
     and [policy] are passed through to {!Crowd.Simulator.run} (lease
     runtime, and [Fixed] or [Adaptive] redundant assignment); [monitor] and [on_alert] install the campaign monitor and
     its alert reactions (see {!Crowd.Simulator.run} — by default any

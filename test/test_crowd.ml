@@ -133,6 +133,65 @@ let test_simulator_deterministic () =
   in
   Alcotest.(check bool) "same seed, same log" true (run () = run ())
 
+(* Early-stop credit: a worker earns one per task that resolved early
+   ([Adaptive_resolved] with [escalated = false]) and on which the event
+   log shows that worker's accepted vote. The campaign runs under its own
+   policy, where tasks stop early, and under one whose tau three votes
+   rarely reach, where most escalate and earn no credit. *)
+let test_simulator_early_stop_credit () =
+  let escalating = Cylog.Engine.Adaptive { tau = 0.99; min_votes = 2; max_votes = 3 } in
+  let check ?policy seed =
+    let engine, outcome = Test_telemetry.adaptive_campaign_outcome ?policy ~seed () in
+    let events = Cylog.Engine.events engine in
+    let resolved ~escalated =
+      List.concat_map
+        (fun (ev : Cylog.Engine.event) ->
+          List.filter_map
+            (function
+              | Cylog.Engine.Adaptive_resolved { open_id; escalated = e; _ }
+                when e = escalated ->
+                  Some open_id
+              | _ -> None)
+            ev.effects)
+        events
+    in
+    let early = resolved ~escalated:false in
+    let expected w =
+      List.length
+        (List.filter
+           (fun id ->
+             List.exists
+               (fun (ev : Cylog.Engine.event) ->
+                 ev.by_human = Some w
+                 && match Cylog.Fold.vote ev with Some (v, _) -> v = id | None -> false)
+               events)
+           early)
+    in
+    List.iter
+      (fun (w, (s : Crowd.Simulator.worker_stat)) ->
+        Alcotest.(check int)
+          (Printf.sprintf "seed %d%s: %s's credit" seed
+             (if policy = None then "" else ", escalating")
+             (Reldb.Value.to_display w))
+          (expected w) s.early_stop_credit)
+      outcome.worker_stats;
+    (outcome, resolved ~escalated:true)
+  in
+  List.iter
+    (fun seed ->
+      let outcome, _ = check seed in
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: some credit is earned" seed)
+        true
+        (List.exists
+           (fun (_, (s : Crowd.Simulator.worker_stat)) -> s.early_stop_credit > 0)
+           outcome.worker_stats);
+      let _, escalated = check ~policy:escalating seed in
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d, escalating: some task escalates" seed)
+        true (escalated <> []))
+    [ 3; 9; 31 ]
+
 let suite =
   [ ( "crowd.worker",
       [ Alcotest.test_case "constructors" `Quick test_worker_constructors ] );
@@ -141,4 +200,6 @@ let suite =
         Alcotest.test_case "stalls when all pass" `Quick test_simulator_stalls_when_all_pass;
         Alcotest.test_case "bounded rounds" `Quick test_simulator_max_rounds;
         Alcotest.test_case "progress recorded" `Quick test_simulator_progress_recorded;
-        Alcotest.test_case "deterministic under seed" `Quick test_simulator_deterministic ] ) ]
+        Alcotest.test_case "deterministic under seed" `Quick test_simulator_deterministic;
+        Alcotest.test_case "early-stop credit matches the event log" `Quick
+          test_simulator_early_stop_credit ] ) ]

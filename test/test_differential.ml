@@ -2,22 +2,25 @@
    (no negation, no update/delete, no open predicates) three independent
    evaluators must agree on the least fixpoint:
 
-   - the engine with seminaive delta evaluation (production strategy),
-   - the engine with naive rescan (reference strategy),
+   - the engine under [Optimized]: delta scans, planned joins, the
+     schedule (production strategy),
+   - the engine under [Reference]: every statement rescanned left to
+     right on every step, sharing none of that code,
    - the batch T_{P,S} consequence operator of the formal semantics.
 
-   The cost-based join planner is held to a stronger standard than fixpoint
-   agreement: with planning on or off the engine must produce the *same
-   event trace* — same statements fired in the same order with the same
-   valuations and effects — because planning is specified as a pure
-   evaluation-order device (Eval.enumerate replays planned matches over
-   the original body and the engine picks the conflict-resolution winner
-   explicitly). The trace properties below check this on random programs,
-   on all four TweetPecker variants end-to-end, and on the Figure 16
-   Turing construction (whose /update rules exercise the planned-rescan
-   path rather than the delta path).
+   The two strategies are held to a stronger standard than fixpoint
+   agreement: the same event trace (statements fired in the same order
+   with the same valuations and effects) and the same journal byte for
+   byte — on random programs with and without humans and updates, the
+   four TweetPecker variants, the Figure 16 Turing construction and
+   quorum campaigns.
 
-   This pins down the two trickiest optimisations in the codebase. *)
+   The cost-based join planner is also checked directly, because
+   planning is specified as a pure evaluation-order device: on the
+   database each run ends with, enumerating a statement's body in the
+   planner's order (Eval.enumerate replays each planned match over the
+   original body) must yield exactly the valuations left-to-right
+   enumeration yields, unpinned and pinned the way delta scans pin. *)
 
 open Cylog
 
@@ -117,8 +120,8 @@ let db_facts db =
            (Reldb.Relation.tuples rel))
   |> List.sort compare
 
-let run_engine ~use_delta program =
-  let engine = Engine.load ~use_delta program in
+let run_engine ~strategy program =
+  let engine = Engine.load ~strategy program in
   ignore (Engine.run engine ~max_steps:20_000);
   db_facts (Engine.database engine)
 
@@ -131,11 +134,6 @@ let engine_trace engine =
     (fun (e : Engine.event) ->
       (e.clock, e.statement, e.label, e.valuation, e.fired, e.effects))
     (Engine.events engine)
-
-let run_trace ~use_delta ~use_planner program =
-  let engine = Engine.load ~use_delta ~use_planner program in
-  ignore (Engine.run engine ~max_steps:20_000);
-  engine_trace engine
 
 (* Everything two engines can be compared on: the full event trace, the
    final database, and the marshalled API-call journal (byte-identical
@@ -156,18 +154,18 @@ let run_semantics program =
 let prop_delta_equals_rescan =
   QCheck.Test.make ~name:"delta evaluation = naive rescan (trace + journal)"
     ~count:300 gen_program (fun program ->
-      let load flag =
-        let engine = Engine.load ~use_delta:flag program in
+      let load strategy =
+        let engine = Engine.load ~strategy program in
         ignore (Engine.run engine ~max_steps:20_000);
         engine
       in
-      engines_equivalent (load true) (load false))
+      engines_equivalent (load Engine.Optimized) (load Engine.Reference))
 
 let prop_engine_equals_batch_semantics =
   QCheck.Test.make ~name:"operational engine = batch T_{P,S} fixpoint" ~count:200
     gen_program (fun program ->
       match run_semantics program with
-      | Some batch -> run_engine ~use_delta:true program = batch
+      | Some batch -> run_engine ~strategy:Engine.Optimized program = batch
       | None -> QCheck.assume_fail ())
 
 let prop_engine_deterministic =
@@ -220,8 +218,8 @@ let prop_printed_program_runs_identically =
   QCheck.Test.make ~name:"printed program evaluates identically" ~count:100 gen_program
     (fun program ->
       let printed = Pretty.program_to_string program in
-      run_engine ~use_delta:true (Parser.parse_exn printed)
-      = run_engine ~use_delta:true program)
+      run_engine ~strategy:Engine.Optimized (Parser.parse_exn printed)
+      = run_engine ~strategy:Engine.Optimized program)
 
 (* Extend the delta/rescan equivalence to the human half: add an open rule
    to each random program and drive both engines with a canonical simulated
@@ -287,10 +285,10 @@ let answer_canonically ?(rounds = 501) engine =
   in
   answer 0
 
-let drive_with_canonical_human ~use_delta ?use_planner program =
+let drive_with_canonical_human ~strategy program =
   (* [with_open_rule]'s Ask/Echo pair is a deliberate open cycle, which
      strict linting now rejects as unbounded-task-emission. *)
-  let engine = Engine.load ~lint:`Off ~use_delta ?use_planner program in
+  let engine = Engine.load ~lint:`Off ~strategy program in
   ignore (Engine.run engine ~max_steps:20_000);
   answer_canonically engine;
   engine
@@ -301,67 +299,110 @@ let prop_delta_equals_rescan_with_humans =
     ~count:150 gen_program (fun program ->
       let program = with_open_rule program in
       engines_equivalent
-        (drive_with_canonical_human ~use_delta:true program)
-        (drive_with_canonical_human ~use_delta:false program))
+        (drive_with_canonical_human ~strategy:Engine.Optimized program)
+        (drive_with_canonical_human ~strategy:Engine.Reference program))
 
 (* --- Planner differential ------------------------------------------------- *)
+
+(* The valuations [Eval.enumerate] yields over one body prefix, with their
+   supports, sorted by support key; [None] when the body raises. *)
+let valuations ?plan ?reordered engine prefix =
+  let found = ref [] in
+  match
+    Eval.enumerate ?plan ?reordered ~rows_scanned:(ref 0) (Engine.builtins engine)
+      (Engine.database engine) prefix ~init:Binding.empty
+      ~f:(fun m ->
+        found := m :: !found;
+        `Continue)
+  with
+  | exception Eval.Error _ -> None
+  | () ->
+      Some
+        (List.map
+           (fun (m : Eval.matched) -> (Binding.to_list m.env, m.support))
+           (List.stable_sort Eval.compare_matched !found))
+
+(* The planner against left-to-right enumeration, on the engine's
+   database as it stands: for every statement, the plan must yield the
+   valuations the body's own order yields. Checked unpinned, and pinned
+   at each positive atom the way a delta scan pins it — earlier atoms
+   below a frontier (half their rows), the pinned atom at each of its
+   rows in turn, later atoms unrestricted. *)
+let planner_agrees engine =
+  let db = Engine.database engine in
+  let high_water pred =
+    match Reldb.Database.find db pred with
+    | Some r -> Reldb.Relation.high_water r
+    | None -> 0
+  in
+  let agrees ?exact_atom ?plan prefix =
+    let p = Planner.plan ?exact_atom db prefix in
+    valuations ?plan ~reordered:(p.Planner.literals, p.Planner.order) engine prefix
+    = valuations ?plan engine prefix
+  in
+  List.for_all
+    (fun ((s : Ast.statement), _) ->
+      let prefix, _ = Eval.split_tail s.Ast.body in
+      let preds =
+        Array.of_list
+          (List.filter_map
+             (fun (l : Ast.literal) ->
+               match l.Ast.lit with Ast.Pos a -> Some a.Ast.pred | _ -> None)
+             prefix)
+      in
+      agrees prefix
+      && List.for_all
+           (fun i ->
+             List.for_all
+               (fun r ->
+                 let plan j =
+                   if j < i then Eval.Below ((high_water preds.(j) + 1) / 2)
+                   else if j = i then Eval.Exactly r
+                   else Eval.All
+                 in
+                 agrees ~exact_atom:i ~plan prefix)
+               (List.init (high_water preds.(i)) Fun.id))
+           (List.init (Array.length preds) Fun.id))
+    (Engine.statements engine)
 
 let prop_planner_preserves_trace =
   QCheck.Test.make ~name:"planned evaluation replays the naive trace" ~count:200
     gen_program (fun program ->
-      run_trace ~use_delta:true ~use_planner:true program
-      = run_trace ~use_delta:true ~use_planner:false program
-      && run_trace ~use_delta:false ~use_planner:true program
-         = run_trace ~use_delta:false ~use_planner:false program)
+      let engine = Engine.load program in
+      ignore (Engine.run engine ~max_steps:20_000);
+      planner_agrees engine)
 
 let prop_planner_preserves_trace_with_humans =
   QCheck.Test.make ~name:"planner on = off with a canonical human in the loop"
     ~count:100 gen_program (fun program ->
-      let program = with_open_rule program in
-      engines_equivalent
-        (drive_with_canonical_human ~use_delta:true ~use_planner:true program)
-        (drive_with_canonical_human ~use_delta:true ~use_planner:false program))
+      planner_agrees
+        (drive_with_canonical_human ~strategy:Engine.Optimized (with_open_rule program)))
 
-(* End-to-end: the four TweetPecker variants on a small corpus. The
-   simulator is deterministic given the seed and only observes the engine
-   through its public API, so planner on/off must yield the same
-   agreement history, rules, extractions and payoffs. *)
-let tweetpecker_run variant ~use_planner =
-  let corpus = Tweets.Generator.generate ~seed:5 12 in
-  let o = Tweetpecker.Runner.run ~seed:11 ~corpus ~use_planner variant in
-  ( o.agreed_events,
-    List.sort compare o.agreed,
-    List.sort compare o.rules_entered,
-    List.sort compare o.extracts,
-    List.sort compare o.payoffs )
-
+(* End-to-end: the four TweetPecker variants on a small corpus, whose
+   rules join tweets, candidate values, agreements, rules and path
+   tables. *)
 let test_tweetpecker_planner_differential () =
+  let corpus = Tweets.Generator.generate ~seed:5 12 in
   List.iter
     (fun variant ->
       Alcotest.(check bool)
-        (Tweetpecker.Programs.variant_name variant ^ ": planner on = off")
+        (Tweetpecker.Programs.variant_name variant ^ ": planned = left-to-right valuations")
         true
-        (tweetpecker_run variant ~use_planner:true
-        = tweetpecker_run variant ~use_planner:false))
+        (planner_agrees (Tweetpecker.Runner.run ~seed:11 ~corpus variant).engine))
     Tweetpecker.Programs.[ VE; VEI; VRE; VREI ]
 
-(* The Figure 16 Turing construction updates TuringMachine and Tape in
-   place, so its statements evaluate through the rescan strategy: this is
-   the differential test for the planned-rescan minimal-support-key
-   selection. *)
-let turing_trace m ~input ~use_planner =
-  let engine = Turing.Cylog_tm.load ~use_planner m ~input in
-  ignore (Engine.run engine ~max_steps:20_000);
-  engine_trace engine
-
+(* The Figure 16 Turing construction joins TuringMachine, Tape and Rule
+   in its transition rule and updates TuringMachine and Tape in place, so
+   its delta scans re-derive whenever a transition lands: the planner's
+   pinned plans meet relations mutated in place. *)
 let test_turing_planner_differential () =
   List.iter
     (fun ((m : Turing.Machine.t), input) ->
+      let engine = Turing.Cylog_tm.load m ~input in
+      ignore (Engine.run engine ~max_steps:20_000);
       Alcotest.(check bool)
-        (m.name ^ ": planner on = off")
-        true
-        (turing_trace m ~input ~use_planner:true
-        = turing_trace m ~input ~use_planner:false))
+        (m.name ^ ": planned = left-to-right valuations")
+        true (planner_agrees engine))
     [ (Turing.Machine.successor, [ "1"; "1" ]);
       (Turing.Machine.binary_increment, [ "1"; "0"; "1"; "1" ]);
       (Turing.Machine.parity, [ "1"; "1"; "1" ]) ]
@@ -413,8 +454,8 @@ let gen_ud_program : string QCheck.arbitrary =
   in
   QCheck.make ~print:(fun s -> s) gen
 
-let run_ud ~use_delta src =
-  let engine = Engine.load ~lint:`Off ~use_delta (Parser.parse_exn src) in
+let run_ud ~strategy src =
+  let engine = Engine.load ~lint:`Off ~strategy (Parser.parse_exn src) in
   ignore (Engine.run engine ~max_steps:3_000);
   engine
 
@@ -422,7 +463,9 @@ let prop_ud_delta_equals_rescan =
   QCheck.Test.make
     ~name:"update/delete programs: delta = rescan (trace + journal)" ~count:200
     gen_ud_program (fun src ->
-      engines_equivalent (run_ud ~use_delta:true src) (run_ud ~use_delta:false src))
+      engines_equivalent
+        (run_ud ~strategy:Engine.Optimized src)
+        (run_ud ~strategy:Engine.Reference src))
 
 (* Snapshot taken mid-fixpoint: the restored engine rebuilds pending delta
    state (frontiers, discovered-but-unfired instances) purely by journal
@@ -445,10 +488,9 @@ let prop_ud_snapshot_midway =
 let test_turing_delta_differential () =
   List.iter
     (fun ((m : Turing.Machine.t), input) ->
-      let load flag =
+      let load strategy =
         let engine =
-          Engine.load ~use_delta:flag
-            (Parser.parse_exn (Turing.Cylog_tm.to_source m ~input))
+          Engine.load ~strategy (Parser.parse_exn (Turing.Cylog_tm.to_source m ~input))
         in
         ignore (Engine.run engine ~max_steps:20_000);
         engine
@@ -456,7 +498,7 @@ let test_turing_delta_differential () =
       Alcotest.(check bool)
         (m.name ^ ": delta on = off")
         true
-        (engines_equivalent (load true) (load false)))
+        (engines_equivalent (load Engine.Optimized) (load Engine.Reference)))
     [ (Turing.Machine.successor, [ "1"; "1" ]);
       (Turing.Machine.binary_increment, [ "1"; "0"; "1"; "1" ]);
       (Turing.Machine.parity, [ "1"; "1"; "1" ]) ]
@@ -465,11 +507,11 @@ let test_tweetpecker_delta_differential () =
   let corpus = Tweets.Generator.generate ~seed:5 12 in
   List.iter
     (fun variant ->
-      let run flag = Tweetpecker.Runner.run ~seed:11 ~corpus ~use_delta:flag variant in
+      let run strategy = Tweetpecker.Runner.run ~seed:11 ~corpus ~strategy variant in
       Alcotest.(check bool)
         (Tweetpecker.Programs.variant_name variant ^ ": delta on = off")
         true
-        (engines_equivalent (run true).engine (run false).engine))
+        (engines_equivalent (run Engine.Optimized).engine (run Engine.Reference).engine))
     Tweetpecker.Programs.[ VE; VEI; VRE; VREI ]
 
 (* Faulted and adaptive quorum campaigns: lease churn, declines, banked
@@ -519,19 +561,19 @@ let quorum_campaign ?faults ?(lease = Lease.default_config) ?(decline = 0.0)
          Engine.pending e = [])
        ~workers engine)
 
-let quorum_campaign_engine ~use_delta ?faults ~seed () =
-  let engine = Engine.load ~use_delta (quorum_program 3) in
+let quorum_campaign_engine ~strategy ?faults ~seed () =
+  let engine = Engine.load ~strategy (quorum_program 3) in
   quorum_campaign ?faults ~seed engine;
   engine
 
-let adaptive_campaign_engine ~use_delta ~seed () =
+let adaptive_campaign_engine ~strategy ~seed () =
   let src =
     {|rules:
   Item(id:1); Item(id:2); Item(id:3); Item(id:4); Item(id:5); Item(id:6);
   Q: LabelOf(id, label)/open <- Item(id);
 |}
   in
-  let engine = Engine.load ~use_delta (Parser.parse_exn src) in
+  let engine = Engine.load ~strategy (Parser.parse_exn src) in
   let truth (o : Engine.open_tuple) =
     let label =
       match Reldb.Tuple.get_or_null o.bound "id" with
@@ -556,22 +598,22 @@ let test_quorum_delta_differential () =
         (Printf.sprintf "clean quorum campaign (seed %d): delta on = off" seed)
         true
         (engines_equivalent
-           (quorum_campaign_engine ~use_delta:true ~seed ())
-           (quorum_campaign_engine ~use_delta:false ~seed ()));
+           (quorum_campaign_engine ~strategy:Engine.Optimized ~seed ())
+           (quorum_campaign_engine ~strategy:Engine.Reference ~seed ()));
       Alcotest.(check bool)
         (Printf.sprintf "faulted quorum campaign (seed %d): delta on = off" seed)
         true
         (engines_equivalent
-           (quorum_campaign_engine ~use_delta:true
+           (quorum_campaign_engine ~strategy:Engine.Optimized
               ~faults:(List.assoc "all" Crowd.Faults.profiles) ~seed ())
-           (quorum_campaign_engine ~use_delta:false
+           (quorum_campaign_engine ~strategy:Engine.Reference
               ~faults:(List.assoc "all" Crowd.Faults.profiles) ~seed ()));
       Alcotest.(check bool)
         (Printf.sprintf "adaptive campaign (seed %d): delta on = off" seed)
         true
         (engines_equivalent
-           (adaptive_campaign_engine ~use_delta:true ~seed ())
-           (adaptive_campaign_engine ~use_delta:false ~seed ())))
+           (adaptive_campaign_engine ~strategy:Engine.Optimized ~seed ())
+           (adaptive_campaign_engine ~strategy:Engine.Reference ~seed ())))
     [ 1; 7 ]
 
 (* --- Pending and event indexes ----------------------------------------- *)
@@ -717,8 +759,8 @@ let prop_delta_equals_rescan_with_host_rows =
   QCheck.Test.make
     ~name:"delta = rescan with rows inserted between steps (trace + journal)"
     ~count:200 (QCheck.pair gen_program gen_host_writes) (fun (program, writes) ->
-      let drive use_delta =
-        let engine = Engine.load ~use_delta program in
+      let drive strategy =
+        let engine = Engine.load ~strategy program in
         List.iter
           (fun (steps, rel, a, b) ->
             for _ = 1 to steps do
@@ -729,14 +771,14 @@ let prop_delta_equals_rescan_with_host_rows =
         ignore (Engine.run engine ~max_steps:20_000);
         engine
       in
-      engines_equivalent (drive true) (drive false))
+      engines_equivalent (drive Engine.Optimized) (drive Engine.Reference))
 
 (* Statements added mid-run, a new /delete target among them: S reads R
    through a delta scan, so the deletion resets its state, and T, added
    after it, negates R. *)
 let test_add_statement_delta_differential () =
-  let drive use_delta =
-    let engine = Engine.load ~use_delta (Parser.parse_exn "rules: R(x:1); S(x) <- R(x);") in
+  let drive strategy =
+    let engine = Engine.load ~strategy (Parser.parse_exn "rules: R(x:1); S(x) <- R(x);") in
     ignore (Engine.run engine);
     let add src =
       List.iter (Engine.add_statement engine) (Parser.parse_statements_exn src);
@@ -748,7 +790,7 @@ let test_add_statement_delta_differential () =
     add "R(x:9); T(x) <- S(x), not R(x);";
     engine
   in
-  let delta = drive true and rescan = drive false in
+  let delta = drive Engine.Optimized and rescan = drive Engine.Reference in
   let s = Reldb.Database.find_exn (Engine.database delta) "S" in
   Alcotest.(check bool) "reader of the /delete target still derives" true
     (Reldb.Relation.mem s (Reldb.Tuple.of_list [ ("x", Reldb.Value.Int 9) ]));
@@ -771,14 +813,14 @@ let fact_heavy_src =
 let test_fact_heavy_restore_and_recover () =
   let program = Parser.parse_exn fact_heavy_src in
   let config = { Journal.fsync = Journal.Always; segment_bytes = 4096; compact_every = Some 16 } in
-  let campaign use_delta =
+  let campaign strategy =
     (* The /delete on Item closes an open cycle through Q, which strict
        linting rejects as unbounded task emission. *)
-    let live = Engine.load ~lint:`Off ~use_delta program in
+    let live = Engine.load ~lint:`Off ~strategy program in
     ignore (Engine.run live);
     answer_canonically live;
     let sim = Storage.Sim.create () in
-    let cut = Engine.load ~lint:`Off ~use_delta program in
+    let cut = Engine.load ~lint:`Off ~strategy program in
     Engine.journal_start ~config ~storage:(Storage.Sim.storage sim) cut "j";
     ignore (Engine.run cut);
     answer_canonically ~rounds:30 cut;
@@ -788,7 +830,7 @@ let test_fact_heavy_restore_and_recover () =
     answer_canonically recovered;
     [ ("uninterrupted", live); ("restored", restored); ("recovered", recovered) ]
   in
-  let delta = campaign true and rescan = campaign false in
+  let delta = campaign Engine.Optimized and rescan = campaign Engine.Reference in
   let live = List.assoc "uninterrupted" delta in
   Alcotest.(check bool) "campaign finished" true (Engine.pending live = []);
   List.iter2
@@ -894,10 +936,10 @@ let test_tweetpecker_snapshot_replay () =
         (journal_replays program o.engine))
     Tweetpecker.Programs.[ VE; VEI; VRE; VREI ]
 
-(* Restore under an adaptive quorum: the policy is journaled data, the
-   reputation model is derived state — so a restored engine must carry the
-   same policy, reproduce the trace (including Adaptive_resolved effects),
-   re-snapshot to the same bytes, and rebuild the reliability table
+(* Restore under an adaptive quorum: the policy is journaled data and the
+   reputation model rides in the state record — so a restored engine must
+   carry the same policy, reproduce the trace (including Adaptive_resolved
+   effects), re-snapshot to the same bytes, and keep the reliability table
    observation for observation. *)
 let test_restore_under_adaptive_quorum () =
   let src =

@@ -536,18 +536,19 @@ let test_untagged_state_payload_refused () =
         Alcotest.failf "%s: expected Unsupported_version, got %s" label (Printexc.to_string e)
     | _ -> Alcotest.failf "%s: the payload was restored" label
   in
-  (* The leading fields of the untagged payload record: the two strategy
+  (* The leading fields of the untagged payload record: its two strategy
      flags, then the program. *)
   let untagged = Marshal.to_string (true, true, Parser.parse_exn "rules:\n  R(x:1);\n") [] in
   Alcotest.(check int) "untagged Marshal image" 1 (refused "untagged" [ untagged ]);
-  Alcotest.(check int) "a later tag" 3 (refused "later" [ "CYLOG-STATE/\003"; untagged ])
+  Alcotest.(check int) "the version before the strategy switch" 2
+    (refused "version 2" [ "CYLOG-STATE/\002"; untagged ]);
+  Alcotest.(check int) "a later tag" 4 (refused "later" [ "CYLOG-STATE/\004"; untagged ])
 
 (* Recovery seeds the engine's encoded history from the base record, so
    a recovered engine's compactions copy those chunks instead of encoding
    the old history again. Recover mid-campaign, keep answering across
    further compactions, recover a second time and finish: every engine
-   must end as the uninterrupted run does, under delta and rescan
-   evaluation alike. *)
+   must end as the uninterrupted run does, under either strategy. *)
 let monitored_reference =
   lazy
     (Tweetpecker.Runner.run ~seed:13 ~corpus:(Lazy.force corpus)
@@ -566,14 +567,14 @@ let test_recover_continue_recover () =
   let config = { Journal.fsync = Journal.Always; segment_bytes = 2048; compact_every = Some 4 } in
   let program = campaign_program () in
   List.iter
-    (fun use_delta ->
-      let mode = if use_delta then "delta" else "rescan" in
+    (fun strategy ->
+      let mode = match strategy with Engine.Optimized -> "delta" | Engine.Reference -> "rescan" in
       let check what ok = Alcotest.(check bool) (mode ^ ": " ^ what) true ok in
-      let uninterrupted = Engine.load ~use_delta program in
+      let uninterrupted = Engine.load ~strategy program in
       List.iter (Engine.apply_entry uninterrupted) entries;
       check "the reference campaign has a monitor" (Engine.monitor uninterrupted <> None);
       let sim = Sim.create () in
-      let live = Engine.load ~use_delta program in
+      let live = Engine.load ~strategy program in
       Engine.journal_start ~config ~storage:(Sim.storage sim) live "j";
       List.iter (Engine.apply_entry live) (between 0 (n / 3));
       let once, s1 = Engine.recover ~config ~storage:(Sim.storage sim) "j" in
@@ -593,7 +594,7 @@ let test_recover_continue_recover () =
       check "same monitor view"
         (Option.map Monitor.view (Engine.monitor twice)
         = Option.map Monitor.view (Engine.monitor uninterrupted)))
-    [ true; false ]
+    [ Engine.Optimized; Engine.Reference ]
 
 (* Recovery reads each surviving segment once: the base probe's bytes
    are the scan's. Compact a campaign's journal, let it rotate past the

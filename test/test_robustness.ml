@@ -385,6 +385,79 @@ let test_quorum_accuracy_vs_single () =
     (majority >= single);
   Alcotest.(check bool) "errors actually injected" true (single < 1.0)
 
+(* One existence task under three policies, voted yes/no alternately. A
+   tie is no: under [Fixed 2] and [Fixed 4] nothing is inserted. The
+   adaptive policy cannot reach tau = 0.99 in three votes, so it escalates
+   to the strict majority, 2 of 3 ayes. Before each vote the task's
+   uncertainty and posteriors, and at the end the reliability table, must
+   equal the figures below. *)
+let test_quorum_existence_ties_and_escalation () =
+  let src =
+    {|
+      rules:
+        Cand(tw:1, v:"sunny");
+        Ask: Agreed(tw:1, v:"sunny")/open <- Cand(tw, v);
+      |}
+  in
+  let t = Reldb.Value.Bool true and f = Reldb.Value.Bool false in
+  (* Per vote: (worker, answer, uncertainty before it, posteriors of the
+     "(exists)" slot before it). *)
+  let run name policy votes ~effects ~agreed ~reliability =
+    let engine = Engine.load (Parser.parse_exn src) in
+    Engine.set_quorum_policy engine policy;
+    ignore (Engine.run engine);
+    let o = match Engine.pending engine with [ o ] -> o | _ -> Alcotest.fail "one task" in
+    let last =
+      List.fold_left
+        (fun _ (w, yes, uncertainty, posteriors) ->
+          let what = Printf.sprintf "%s, before %s's vote" name w in
+          Alcotest.(check (float 1e-4)) (what ^ ": uncertainty") uncertainty
+            (Engine.task_uncertainty engine o.Engine.id);
+          (match Engine.task_posteriors engine o.Engine.id with
+          | [ ("(exists)", got) ] ->
+              Alcotest.(check (list (pair string (float 1e-4))))
+                (what ^ ": posteriors")
+                (List.map (fun (v, p) -> (Reldb.Value.to_string v, p)) posteriors)
+                (List.map (fun (v, p) -> (Reldb.Value.to_string v, p)) got)
+          | _ -> Alcotest.failf "%s: one (exists) slot" what);
+          match Engine.answer_existence engine o.Engine.id ~worker:(v_str w) yes with
+          | Ok e -> e.Engine.effects
+          | Error e -> Alcotest.failf "%s: vote rejected: %s" what (Engine.reject_to_string e))
+        [] votes
+    in
+    Alcotest.(check bool) (name ^ ": last vote's effects") true (effects last);
+    Alcotest.(check bool) (name ^ ": resolved") true
+      (Engine.find_open engine o.Engine.id = None);
+    Alcotest.(check int) (name ^ ": Agreed rows") agreed
+      (Reldb.Relation.cardinal (Reldb.Database.find_exn (Engine.database engine) "Agreed"));
+    Alcotest.(check (list (triple string (float 1e-4) int)))
+      (name ^ ": reliability table") reliability (Engine.reliability_table engine)
+  in
+  run "Fixed 2" (Engine.Fixed 2)
+    [ ("w1", true, 1.0, []); ("w2", false, 0.2, [ (t, 0.8) ]) ]
+    ~effects:(function [ Engine.Vote_recorded (_, 2); Engine.No_effect ] -> true | _ -> false)
+    ~agreed:0
+    ~reliability:[ ("w1", 0.6667, 1); ("w2", 0.8333, 1) ];
+  run "Fixed 4" (Engine.Fixed 4)
+    [ ("w1", true, 1.0, []);
+      ("w2", false, 0.2, [ (t, 0.8) ]);
+      ("w3", true, 0.5294, [ (t, 0.4706); (f, 0.4706) ]);
+      ("w4", false, 0.1233, [ (t, 0.8767); (f, 0.1096) ]) ]
+    ~effects:(function [ Engine.Vote_recorded (_, 4); Engine.No_effect ] -> true | _ -> false)
+    ~agreed:0
+    ~reliability:[ ("w1", 0.6667, 1); ("w2", 0.8333, 1); ("w3", 0.6667, 1); ("w4", 0.8333, 1) ];
+  run "Adaptive" (Engine.Adaptive { tau = 0.99; min_votes = 1; max_votes = 3 })
+    [ ("w1", true, 1.0, []);
+      ("w2", false, 0.2, [ (t, 0.8) ]);
+      ("w3", true, 0.5294, [ (t, 0.4706); (f, 0.4706) ]) ]
+    ~effects:(function
+      | [ Engine.Vote_recorded (_, 3);
+          Engine.Adaptive_resolved { posterior_pct = 88; escalated = true; _ };
+          Engine.Inserted ("Agreed", _) ] -> true
+      | _ -> false)
+    ~agreed:1
+    ~reliability:[ ("w1", 0.8333, 1); ("w2", 0.6667, 1); ("w3", 0.8333, 1) ]
+
 (* --- Simulator: rejections, rounds, leases -------------------------------- *)
 
 let mini_engine () =
@@ -660,7 +733,9 @@ let suite =
       [ Alcotest.test_case "majority resolution" `Quick test_quorum_majority;
         Alcotest.test_case "existence majority" `Quick test_quorum_existence_majority;
         Alcotest.test_case "majority >= single-answer accuracy" `Quick
-          test_quorum_accuracy_vs_single ] );
+          test_quorum_accuracy_vs_single;
+        Alcotest.test_case "existence ties are no; adaptive escalates" `Quick
+          test_quorum_existence_ties_and_escalation ] );
     ( "robustness.simulator",
       [ Alcotest.test_case "rejections are counted" `Quick test_simulator_counts_rejections;
         Alcotest.test_case "actual rounds reported" `Quick

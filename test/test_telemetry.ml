@@ -150,9 +150,10 @@ let test_campaign_recount () =
    [Adaptive_resolved] effect carries the resolution evidence in the
    journal, so recounting must reproduce them like every other derived
    metric, before and after checkpoint/restore. Worker reputation rides
-   along — it is derived state rebuilt by replay, so the restored engine's
-   reliability table must match the original's. *)
-let adaptive_campaign ~seed () =
+   along in the state record, so the restored engine's reliability table
+   must match the original's. *)
+let adaptive_campaign_outcome
+    ?(policy = Engine.Adaptive { tau = 0.9; min_votes = 2; max_votes = 5 }) ~seed () =
   let src =
     {|rules:
   Item(id:1); Item(id:2); Item(id:3); Item(id:4); Item(id:5); Item(id:6);
@@ -173,9 +174,9 @@ let adaptive_campaign ~seed () =
       (fun (w : Crowd.Worker.profile) -> (Reldb.Value.String w.name, w))
       (Crowd.Worker.crowd Crowd.Worker.diligent 3 @ [ Crowd.Worker.sloppy "s1" ])
   in
-  let policy = Engine.Adaptive { tau = 0.9; min_votes = 2; max_votes = 5 } in
-  ignore (Crowd.Simulator.run_routed ~seed ~policy ~truth ~workers engine);
-  engine
+  (engine, Crowd.Simulator.run_routed ~seed ~policy ~truth ~workers engine)
+
+let adaptive_campaign ~seed () = fst (adaptive_campaign_outcome ~seed ())
 
 let test_adaptive_campaign_recount () =
   List.iter
@@ -288,7 +289,7 @@ let test_zero_step_run_still_observed () =
 
 let test_delta_counters_accumulate () =
   let src = "rules:\n  R(x:1); R(x:2); R(x:3);\n  T(x) <- R(x);\n  U(x) <- T(x);\n" in
-  let delta = Engine.load ~use_delta:true (Parser.parse_exn src) in
+  let delta = Engine.load ~strategy:Engine.Optimized (Parser.parse_exn src) in
   ignore (Engine.run delta);
   let m = Engine.metrics delta in
   Alcotest.(check bool) "delta rounds counted" true
@@ -300,7 +301,7 @@ let test_delta_counters_accumulate () =
   (* Monotone program, nothing destroyed: no scoped re-derivations. *)
   Alcotest.(check int) "no resets on a monotone program" 0
     (Telemetry.Metrics.counter m "eval.delta.resets");
-  let rescan = Engine.load ~use_delta:false (Parser.parse_exn src) in
+  let rescan = Engine.load ~strategy:Engine.Reference (Parser.parse_exn src) in
   ignore (Engine.run rescan);
   Alcotest.(check int) "rescan engine runs no delta rounds" 0
     (Telemetry.Metrics.counter (Engine.metrics rescan) "eval.delta.rounds");
@@ -351,6 +352,62 @@ let test_null_sink_emits_nothing () =
   Alcotest.(check bool) "explain renders" true
     (String.length (Engine.explain engine) > 0)
 
+(* EXPLAIN names the strategy and shows each rule's path: under
+   [Optimized] a rule with a positive atom runs delta scans over cached
+   plans; under [Reference] it is rescanned left to right and no plan is
+   compiled, so no planner counter moves. *)
+let test_explain_names_the_strategy () =
+  let src = "rules:\n  R(x:1); S(x:1);\n  J: T(x) <- R(x), S(x);\n" in
+  let explain strategy =
+    let engine = Engine.load ~strategy (Parser.parse_exn src) in
+    ignore (Engine.run engine);
+    (engine, String.split_on_char '\n' (Engine.explain engine))
+  in
+  let rule_lines lines =
+    let rec from = function
+      | l :: rest when String.starts_with ~prefix:"rule J" l -> l :: until rest
+      | _ :: rest -> from rest
+      | [] -> []
+    and until = function
+      | l :: rest when String.starts_with ~prefix:"  " l -> l :: until rest
+      | _ -> []
+    in
+    from lines
+  in
+  let has_prefix p lines = List.exists (String.starts_with ~prefix:p) lines in
+  let header name lines =
+    match lines with
+    | l :: _ ->
+        String.starts_with ~prefix:"EXPLAIN  (clock" l
+        && String.ends_with ~suffix:(Printf.sprintf "strategy %s)" name) l
+    | [] -> false
+  in
+  let optimized, lines = explain Engine.Optimized in
+  Alcotest.(check bool) "optimized: header names the strategy" true
+    (header "optimized" lines);
+  (match rule_lines lines with
+  | head :: body ->
+      Alcotest.(check string) "optimized: rule J is a delta rule" "rule J  [delta]" head;
+      Alcotest.(check bool) "optimized: plan-cache line" true (has_prefix "  plan cache:" body)
+  | [] -> Alcotest.fail "optimized: no rule J");
+  Alcotest.(check bool) "optimized: plans were compiled" true
+    (Telemetry.Metrics.counter (Engine.metrics optimized) "planner.delta_cache.misses" > 0);
+  let reference, lines = explain Engine.Reference in
+  Alcotest.(check bool) "reference: header names the strategy" true
+    (header "reference" lines);
+  (match rule_lines lines with
+  | head :: body ->
+      Alcotest.(check string) "reference: rule J is rescanned" "rule J  [rescan]" head;
+      Alcotest.(check bool) "reference: joins left to right" true
+        (List.mem "  join: R -> S  (left-to-right)" body);
+      Alcotest.(check bool) "reference: no plan-cache line" false
+        (has_prefix "  plan cache:" body)
+  | [] -> Alcotest.fail "reference: no rule J");
+  Alcotest.(check (list (pair string int))) "reference: no planner counter" []
+    (List.filter
+       (fun (k, v) -> String.starts_with ~prefix:"planner." k && v <> 0)
+       (Telemetry.Metrics.counters (Engine.metrics reference)))
+
 let suite =
   [ ( "telemetry",
       List.map QCheck_alcotest.to_alcotest
@@ -371,4 +428,6 @@ let suite =
           Alcotest.test_case "disabled registry stays empty" `Quick
             test_disabled_registry_stays_empty;
           Alcotest.test_case "null sink emits nothing" `Quick
-            test_null_sink_emits_nothing ] ) ]
+            test_null_sink_emits_nothing;
+          Alcotest.test_case "explain names the strategy and each rule's path" `Quick
+            test_explain_names_the_strategy ] ) ]
