@@ -100,24 +100,27 @@ let pp_joins_row r =
     "  %4dx  naive: %10d rows   planned: %10d rows   %8.1fx fewer rows  identical: %b@."
     r.scale r.naive.j_rows_scanned r.planned.j_rows_scanned (joins_rows_ratio r)
     (joins_identical r);
-  Format.printf
-    "         plan cache  naive: %d hits / %d misses   planned: %d hits / %d misses@."
-    r.naive.j_cache_hits r.naive.j_cache_misses r.planned.j_cache_hits
-    r.planned.j_cache_misses
+  Format.printf "         plan cache  planned: %d hits / %d misses@."
+    r.planned.j_cache_hits r.planned.j_cache_misses
 
 (* Both strategies at every scale load the same program, so one
-   certificate covers every row. *)
+   certificate covers every row. The reference strategy never plans, so
+   only the planned side reports the plan cache. *)
 let joins_json rows =
-  let run (m : joins_run) =
+  let run (m : joins_run) plan_cache =
     Obj
-      [ ("rows_scanned", Int m.j_rows_scanned); ("steps", Int m.j_steps);
-        ("plan_cache_hits", Int m.j_cache_hits);
-        ("plan_cache_misses", Int m.j_cache_misses); ("telemetry", m.j_telemetry) ]
+      ([ ("rows_scanned", Int m.j_rows_scanned); ("steps", Int m.j_steps) ]
+      @ plan_cache
+      @ [ ("telemetry", m.j_telemetry) ])
   in
   let scale r =
     Obj
       [ ("scale", Int r.scale); ("edge_rows", Int (40 * r.scale));
-        ("target_rows", Int (2 * r.scale)); ("naive", run r.naive); ("planned", run r.planned);
+        ("target_rows", Int (2 * r.scale)); ("naive", run r.naive []);
+        ( "planned",
+          run r.planned
+            [ ("plan_cache_hits", Int r.planned.j_cache_hits);
+              ("plan_cache_misses", Int r.planned.j_cache_misses) ] );
         ("speedup_rows_scanned", Float (joins_rows_ratio r));
         ("identical_results", Bool (joins_identical r)) ]
   in
@@ -725,15 +728,41 @@ let run_durability () =
   write_artifact "BENCH_durability.json" (durability_json policies recoveries);
   notes (dur_check policies recoveries)
 
+(* Minor words per [Journal.append] of a fixed 40-byte payload on
+   in-memory storage under [Every_n 8], over 10,000 appends after one
+   warm-up append; no append in the window rotates. The count repeats
+   exactly. The bound is the measured figure (35.27 words under 64-bit
+   OCaml 5.1) rounded up: an append that formats its segment's path
+   again, or builds its span attributes untraced, fails it. *)
+let append_words_bound = 36
+
+let append_words () =
+  let storage = Cylog.Storage.Sim.(storage (create ())) in
+  let config = { Cylog.Journal.default_config with fsync = Cylog.Journal.Every_n 8 } in
+  let j = Cylog.Journal.create ~config ~storage ~genesis:[ "bench" ] dur_dir in
+  let payload = String.make 40 'x' and appends = 10_000 in
+  Cylog.Journal.append j payload;
+  let words0 = Gc.minor_words () in
+  for _ = 1 to appends do
+    Cylog.Journal.append j payload
+  done;
+  (Gc.minor_words () -. words0) /. float_of_int appends
+
 let run_durability_smoke () =
   (* Scaled-down durability gate, wired into [dune runtest] via the
-     [durability-smoke] alias: the gates judge fsync counters and records
-     replayed. *)
+     [durability-smoke] alias: the gates judge fsync counters, records
+     replayed and the words one append allocates. *)
   section "Durability smoke: fsync policy counters and compacted recovery";
   let policies, recoveries = dur_runs ~appends:300 [ 150 ] in
+  let words = append_words () in
+  Format.printf "  append: %.2f minor words per call (bound %d)@." words append_words_bound;
   verdict
-    ~ok:"fsync counters order with the policies, recovery exact, compaction bounds the replay"
+    ~ok:
+      "fsync counters order with the policies, recovery exact, compaction bounds the \
+       replay, appends within their word bound"
     (dur_check policies recoveries
+    @ failed
+        [ ("journal append words above bound", words <= float_of_int append_words_bound) ]
     @ parse_check "BENCH_durability" (durability_json policies recoveries))
 
 (* ------------------------------------------------------------------ *)
@@ -1005,12 +1034,12 @@ let overhead_words ~items ~metrics ~monitored =
   (Gc.minor_words () -. words0, Cylog.Engine.event_count engine - events0)
 
 (* Bounds, in minor words per event over the metrics-off run: each is the
-   figure this code measures (67.02 and 73.77 words under 64-bit OCaml
+   figure this code measures (67.02 and 71.52 words under 64-bit OCaml
    5.1), rounded up to the next whole word, so one more allocation per
    event fails the gate. Re-measure with [dune exec bench/main.exe
    telemetry-overhead] when the fold's allocations change on purpose. *)
 let metrics_words_per_event = 68
-let monitor_words_per_event = 74
+let monitor_words_per_event = 72
 
 let run_telemetry_overhead () =
   section "Telemetry overhead: minor words per event, metrics and monitor on vs off";
@@ -1099,11 +1128,34 @@ let history_slot ~tasks =
   let resolved = List.length (Server.resolve_poll server ~campaign cursor) in
   (server, campaign, cursor, resolved)
 
+(* Times [calls] runs of [request] on a slot of 10^3 tasks and on one of
+   10^4: each figure is the best of 5 trials, and the two slots take
+   turns, so a slow phase of the host hits both. Fails when the larger
+   slot is more than 2x slower. *)
+let size_gate ~tasks what calls request slots =
+  let best = Array.make (List.length slots) infinity in
+  for _ = 1 to 5 do
+    List.iteri
+      (fun i slot ->
+        let (), dt =
+          time (fun () ->
+              for _ = 1 to calls do
+                request slot
+              done)
+        in
+        best.(i) <- min best.(i) dt)
+      slots
+  done;
+  let ratio = best.(1) /. best.(0) in
+  Format.printf "  %s: %.2f ms at 10^3 %s, %.2f ms at 10^4 (%.2fx)@." what
+    (best.(0) *. 1e3) tasks (best.(1) *. 1e3) ratio;
+  if ratio > 2.0 then
+    [ Printf.sprintf "%s: %.2fx slower at 10^4 %s than at 10^3 (gate 2x)" what ratio tasks ]
+  else []
+
 (* The history-length gate: polls that find no new events, pending counts
    and leases on the drained campaign must cost about the same on a slot
-   with 10^4 resolved tasks as on one with 10^3. Each figure is the best of
-   5 trials; the two slots take turns, so a slow phase of the host hits
-   both. Returns the failures. *)
+   with 10^4 resolved tasks as on one with 10^3. Returns the failures. *)
 let serve_history_gate () =
   let failures = ref [] in
   let fail fmt = Format.kasprintf (fun s -> failures := !failures @ [ s ]) fmt in
@@ -1125,28 +1177,36 @@ let serve_history_gate () =
         fun (server, campaign, _, _) ->
           ignore (Server.lease server ~campaign ~worker:(Reldb.Value.String "w1") ~now:0) ) ]
   in
-  List.iter
-    (fun (what, calls, request) ->
-      let best = Array.make (List.length slots) infinity in
-      for _ = 1 to 5 do
-        List.iteri
-          (fun i (_, slot) ->
-            let (), dt =
-              time (fun () ->
-                  for _ = 1 to calls do
-                    request slot
-                  done)
-            in
-            best.(i) <- min best.(i) dt)
-          slots
-      done;
-      let ratio = best.(1) /. best.(0) in
-      Format.printf "  %s: %.2f ms at 10^3 resolved tasks, %.2f ms at 10^4 (%.2fx)@." what
-        (best.(0) *. 1e3) (best.(1) *. 1e3) ratio;
-      if ratio > 2.0 then
-        fail "%s: %.2fx slower at 10^4 resolved tasks than at 10^3 (gate 2x)" what ratio)
-    requests;
   !failures
+  @ List.concat_map
+      (fun (what, calls, request) ->
+        size_gate ~tasks:"resolved tasks" what calls request (List.map snd slots))
+      requests
+
+(* A 1-shard server whose one slot keeps [tasks] label tasks pending under
+   [Fixed 3], with a monitor installed. *)
+let pool_slot ~tasks =
+  let campaign = "pool" in
+  let server = Server.create ~shards:1 () in
+  Server.open_campaign server ~name:campaign ~policy:(Cylog.Engine.Fixed 3)
+    ~monitor:Cylog.Monitor.default_config
+    (Cylog.Parser.parse_exn (history_source ~rows:(tasks / 100)));
+  (server, campaign, tasks)
+
+(* The pool-size gate: a monitor sample must cost about the same with 10^4
+   tasks pending as with 10^3. Returns the failures. *)
+let serve_pool_gate () =
+  let slots = List.map (fun tasks -> pool_slot ~tasks) [ 1_000; 10_000 ] in
+  List.concat_map
+    (fun (server, _, tasks) ->
+      let pending = Server.pending_total server in
+      if pending <> tasks then
+        [ Printf.sprintf "pool slot: %d of %d tasks pending" pending tasks ]
+      else [])
+    slots
+  @ size_gate ~tasks:"pending tasks" "10^3 sample" 1_000
+      (fun (server, campaign, _) -> ignore (Server.sample server ~campaign ~round:0))
+      slots
 
 (* The serve regression gate, wired into [dune runtest] via the
    [serve-smoke] alias: a small fixed-seed fleet on in-memory storage
@@ -1154,7 +1214,8 @@ let serve_history_gate () =
    campaigns with exact quorum arithmetic, merge a sane fleet monitor,
    and recover every shard's slot from its compacted journal to a
    byte-identical trace with O(live state) replay. A history-length gate
-   then holds polls, pending counts and leases to the live state. *)
+   then holds polls, pending counts and leases to the live state, and a
+   pool-size gate holds monitor samples to constant work. *)
 let run_serve_smoke () =
   section "Serve smoke: routing, merged monitor and recovery on a seeded fleet";
   let failures = ref [] in
@@ -1250,11 +1311,13 @@ let run_serve_smoke () =
                  only should remain)"
                 s stats.Cylog.Engine.records_replayed)
   done;
+  let history = serve_history_gate () in
+  let pool = serve_pool_gate () in
   verdict
     ~ok:
       "facts routed by hash, campaigns completed, fleet view merged, every shard \
-       recovered byte-identically, request cost independent of history"
-    (!failures @ serve_history_gate ())
+       recovered byte-identically, request cost independent of history and pool size"
+    (!failures @ history @ pool)
 
 (* ------------------------------------------------------------------ *)
 (* Set-up scaling: lint and the budget certificate stay linear         *)

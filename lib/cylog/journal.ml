@@ -151,6 +151,7 @@ type t = {
   cfg : config;
   storage : (module Storage.S);
   mutable seg : int;
+  mutable seg_file : string;  (* [seg]'s path, formatted once per segment *)
   mutable seg_bytes : int;
   mutable unsynced : int;  (* appends not yet covered by an fsync *)
   mutable since_snapshot : int;
@@ -174,6 +175,10 @@ let seg_index name =
 
 let seg_path t index = Filename.concat t.jdir (seg_name index)
 
+let move_to t index =
+  t.seg <- index;
+  t.seg_file <- seg_path t index
+
 let dir t = t.jdir
 let config t = t.cfg
 
@@ -184,15 +189,18 @@ let count t name =
   | Some (tel, _) -> Telemetry.Metrics.incr (Telemetry.metrics tel) name
   | None -> ()
 
+let tracing t = match t.tel with Some (tel, _) -> Telemetry.tracing tel | None -> false
+
+(* Callers test [tracing] first, so an untraced append builds no
+   attributes. *)
 let span t name attrs =
   match t.tel with
-  | Some (tel, clock) when Telemetry.tracing tel ->
-      Telemetry.emit tel ~attrs:(attrs ()) name ~clock:(clock ())
-  | _ -> ()
+  | Some (tel, clock) -> Telemetry.emit tel ~attrs name ~clock:(clock ())
+  | None -> ()
 
 let fsync_now t =
   let module St = (val t.storage) in
-  St.fsync (seg_path t t.seg);
+  St.fsync t.seg_file;
   t.unsynced <- 0;
   t.n_fsyncs <- t.n_fsyncs + 1;
   count t "journal.fsyncs"
@@ -223,9 +231,9 @@ let rotate t =
   (* The outgoing segment is made fully durable before a successor exists,
      so recovery only ever needs to truncate the final segment. *)
   if t.unsynced > 0 then fsync_now t;
-  St.close (seg_path t t.seg);
-  t.seg <- t.seg + 1;
-  St.append (seg_path t t.seg) (segment_header t.seg);
+  St.close t.seg_file;
+  move_to t (t.seg + 1);
+  St.append t.seg_file (segment_header t.seg);
   (* The successor's directory entry must survive a crash before any
      record is acknowledged into it. *)
   fsync_dir t;
@@ -233,17 +241,18 @@ let rotate t =
   t.live_segments <- t.live_segments @ [ t.seg ];
   t.n_rotations <- t.n_rotations + 1;
   count t "journal.segments.rotated";
-  span t "journal-rotate" (fun () -> [ ("segment", string_of_int t.seg) ])
+  if tracing t then span t "journal-rotate" [ ("segment", string_of_int t.seg) ]
 
 let append t payload =
   let module St = (val t.storage) in
   if t.seg_bytes >= t.cfg.segment_bytes then rotate t;
   let framed = frame Entry [ payload ] in
-  St.append (seg_path t t.seg) framed;
+  St.append t.seg_file framed;
   t.seg_bytes <- t.seg_bytes + String.length framed;
   t.since_snapshot <- t.since_snapshot + 1;
-  span t "journal-append" (fun () ->
-      [ ("segment", string_of_int t.seg); ("bytes", string_of_int (String.length framed)) ]);
+  if tracing t then
+    span t "journal-append"
+      [ ("segment", string_of_int t.seg); ("bytes", string_of_int (String.length framed)) ];
   after_append t
 
 let compact t parts =
@@ -264,8 +273,8 @@ let compact t parts =
   St.rename tmp (seg_path t target);
   fsync_dir t;
   let old = t.live_segments in
-  t.seg <- target;
-  t.seg_bytes <- St.size (seg_path t target);
+  move_to t target;
+  t.seg_bytes <- St.size t.seg_file;
   t.unsynced <- 0;
   t.since_snapshot <- 0;
   t.live_segments <- [ target ];
@@ -280,15 +289,16 @@ let compact t parts =
   fsync_dir t;
   t.n_compactions <- t.n_compactions + 1;
   count t "journal.compactions";
-  span t "journal-compact" (fun () ->
+  if tracing t then
+    span t "journal-compact"
       [ ("segment", string_of_int target);
         ("bytes", string_of_int (List.fold_left (fun n p -> n + String.length p) 0 parts));
-        ("folded_segments", string_of_int (List.length old)) ])
+        ("folded_segments", string_of_int (List.length old)) ]
 
 let close t =
   let module St = (val t.storage) in
   sync t;
-  St.close (seg_path t t.seg)
+  St.close t.seg_file
 
 let wants_compaction t =
   match t.cfg.compact_every with Some n -> t.since_snapshot >= n | None -> false
@@ -324,6 +334,7 @@ let make ?(config = default_config) ?(storage = (module Storage.Posix : Storage.
     cfg = config;
     storage;
     seg = 0;
+    seg_file = Filename.concat dir (seg_name 0);
     seg_bytes = 0;
     unsynced = 0;
     since_snapshot = 0;
@@ -343,12 +354,12 @@ let create ?config ?storage ~genesis dir =
   if List.exists (fun f -> seg_index f <> None) (St.list_dir dir) then
     raise (Error (Journal_exists dir));
   let bytes = frame ~segment:0 Genesis genesis in
-  St.append (seg_path t 0) bytes;
+  St.append t.seg_file bytes;
   (* Genesis durability is unconditional: a journal that exists can be
      recovered, whatever the fsync policy says about later entries. That
      takes both the data fsync and a directory fsync — without the
      latter, segment 0's entry itself can vanish on power loss. *)
-  St.fsync (seg_path t 0);
+  St.fsync t.seg_file;
   fsync_dir t;
   t.seg_bytes <- String.length bytes;
   t.live_segments <- [ 0 ];
@@ -475,7 +486,7 @@ let recover ?config ?storage dir =
   (* Recovery's own mutations — dropped staging files, deleted headerless
      or superseded segments, the truncated tail — become durable here. *)
   fsync_dir t;
-  t.seg <- last;
+  move_to t last;
   t.seg_bytes <- !tail_bytes;
   t.live_segments <- segs;
   t.since_snapshot <-

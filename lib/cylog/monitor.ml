@@ -65,7 +65,10 @@ type ring = {
   mutable r_dropped : int;
 }
 
-type t = { config : config; fold : Fold.t; series : ring }
+(* [oldest] is a cursor into the pending pool: no id below it is pending.
+   It is derived like the rest, starts fresh in [create] and is never
+   serialised. *)
+type t = { config : config; fold : Fold.t; series : ring; mutable oldest : Event.open_id }
 
 (* --- Derived readings -------------------------------------------------------- *)
 
@@ -85,13 +88,24 @@ let dead_letter_pct t =
   let r = retired t in
   if r = 0 then 0 else 100 * t.fold.dead / r
 
+(* The engine hands out each open id once, in creation order, and the
+   fold records each with its event's clock, so the smallest pending id
+   is the oldest task. An id below the cursor never turns pending again,
+   so each is skipped at most once over the monitor's life. *)
 let oldest_age t ~clock =
-  Hashtbl.fold (fun _ created acc -> max acc (clock - created)) t.fold.created 0
+  let created = t.fold.created in
+  if Hashtbl.length created = 0 then 0
+  else begin
+    while not (Hashtbl.mem created t.oldest) do
+      t.oldest <- t.oldest + 1
+    done;
+    clock - Hashtbl.find created t.oldest
+  end
 
 let e2e t = Telemetry.Metrics.histogram t.fold.lifecycle "lifecycle.end_to_end"
 
-let e2e_quantile t q =
-  match e2e t with Some h -> Telemetry.Metrics.quantile h q | None -> 0.0
+let quantile_of e2e q =
+  match e2e with Some h -> Telemetry.Metrics.quantile h q | None -> 0.0
 
 let histograms t = Telemetry.Metrics.histograms t.fold.lifecycle
 
@@ -121,7 +135,8 @@ let push_point t p =
   r.r_next <- (r.r_next + 1) mod r.r_cap;
   if r.r_len < r.r_cap then r.r_len <- r.r_len + 1 else r.r_dropped <- r.r_dropped + 1
 
-let sample_point t ~round ~clock =
+(* [e2e] is the end-to-end histogram, read once per sample. *)
+let sample_point t e2e ~round ~clock =
   {
     p_round = round;
     p_clock = clock;
@@ -129,9 +144,9 @@ let sample_point t ~round ~clock =
     p_answers = answers t;
     p_pending = pending t;
     p_oldest_age = oldest_age t ~clock;
-    p_e2e_p50 = e2e_quantile t 0.50;
-    p_e2e_p95 = e2e_quantile t 0.95;
-    p_e2e_p99 = e2e_quantile t 0.99;
+    p_e2e_p50 = quantile_of e2e 0.50;
+    p_e2e_p95 = quantile_of e2e 0.95;
+    p_e2e_p99 = quantile_of e2e 0.99;
     p_agreement_pct = agreement_pct t;
     p_posterior_pct = posterior_pct t;
     p_dead_letter_pct = dead_letter_pct t;
@@ -151,6 +166,7 @@ let create config fold m events =
           r_next = 0;
           r_len = 0;
           r_dropped = 0 };
+      oldest = 0;
     }
   in
   List.iter
@@ -159,7 +175,7 @@ let create config fold m events =
       List.iter
         (function
           | Event.Sampled { round } ->
-              push_point t (sample_point t ~round ~clock:ev.clock)
+              push_point t (sample_point t (e2e t) ~round ~clock:ev.clock)
           | _ -> ())
         ev.effects)
     events;
@@ -178,7 +194,9 @@ let latched t =
    when it flows back through [Fold.apply] — so a recount latches in
    exactly the same place. *)
 let check t ~round ~clock =
-  push_point t (sample_point t ~round ~clock);
+  let e2e = e2e t in
+  let p = sample_point t e2e ~round ~clock in
+  push_point t p;
   let out = ref [] and latched = latched t in
   let fire key alert = if not (List.mem key latched) then out := alert :: !out in
   (* An explicit budget wins; without one, the statically certified bound
@@ -193,17 +211,11 @@ let check t ~round ~clock =
   | Some budget when spent t > budget ->
       fire "budget" (Event.Budget_exceeded { spent = spent t; budget })
   | _ -> ());
-  (match t.config.max_p99_latency with
-  | Some limit -> (
-      match e2e t with
-      | Some h when h.count > 0 ->
-          let p99 = Telemetry.Metrics.quantile h 0.99 in
-          if p99 > float_of_int limit then
-            fire "latency"
-              (Event.Latency_breached
-                 { p99 = int_of_float (Float.round p99); limit })
-      | _ -> ())
-  | None -> ());
+  (match (t.config.max_p99_latency, e2e) with
+  | Some limit, Some h when h.count > 0 && p.p_e2e_p99 > float_of_int limit ->
+      fire "latency"
+        (Event.Latency_breached { p99 = int_of_float (Float.round p.p_e2e_p99); limit })
+  | _ -> ());
   (match t.config.min_agreement_pct with
   | Some floor when t.fold.votes_total > 0 && agreement_pct t < floor ->
       fire "agreement" (Event.Agreement_low { pct = agreement_pct t; floor })

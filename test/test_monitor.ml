@@ -256,6 +256,137 @@ let test_second_monitor () =
   let recovered, _ = Engine.recover ~storage:(Storage.Sim.storage store) "journal" in
   Alcotest.(check bool) "recovery = live" true (monitor_view_of recovered = live)
 
+(* --- The oldest pending age: a cursor held to the walk ------------------------ *)
+
+let items n = String.concat " " (List.init n (fun i -> Printf.sprintf "Item(id:%d);" (i + 1)))
+
+(* Two label stages, so answers create tasks while older ones are still
+   pending. *)
+let staged_src =
+  Printf.sprintf
+    {|rules:
+  %s
+  Q: LabelOf(id, label)/open <- Item(id);
+  C: CheckOf(id, verdict)/open <- LabelOf(id, label);
+|}
+    (items 40)
+
+(* The standing task comes first, so it is the oldest, and it never
+   retires: the moves below only ever answer it. *)
+let standing_src =
+  Printf.sprintf
+    {|schema:
+  Rules(rid key auto, cond, p);
+rules:
+  Workers(p:"kate");
+  R: Rules(rid, cond, p)/open[p] <- Workers(p);
+  %s
+  Q: LabelOf(id, label)/open <- Item(id);
+|}
+    (items 12)
+
+let age_config = { Monitor.default_config with series_capacity = 4096 }
+
+(* A sample whose point disagrees with the walk over the pending table
+   fails at once: a cursor that skipped a pending task may never find
+   another one. *)
+let sample_against_walk what engine ~round =
+  ignore (Engine.monitor_sample engine ~round);
+  let mon = Option.get (Engine.monitor engine) in
+  let p = List.hd (List.rev (Monitor.points mon)) in
+  let walk =
+    Oldest_age_reference.oldest_age (List.to_seq (Monitor.view mon).v_pending)
+      ~clock:p.p_clock
+  in
+  if p.p_oldest_age <> walk then
+    Alcotest.failf "%s, round %d: oldest age %d, walk %d" what round p.p_oldest_age walk
+
+(* [steps] seeded moves from logical time [from]: each picks a random
+   pending task and answers it, declines it, leases it to a worker who
+   never answers (the lease times out) or sends it a wrong attribute; a
+   standing task is always answered. A reclaim runs every move and a
+   sample every third. *)
+let age_moves what engine ~rng ~from ~steps =
+  let v s = Reldb.Value.String s in
+  for now = from to from + steps - 1 do
+    ignore (Engine.reclaim engine ~now);
+    (match Engine.pending engine with
+    | [] -> ()
+    | pending -> (
+        let o = List.nth pending (Random.State.int rng (List.length pending)) in
+        let worker =
+          match o.asked with
+          | Some w -> w
+          | None ->
+              v
+                (List.find
+                   (fun w -> not (Engine.has_voted engine o.id ~worker:(v w)))
+                   [ "w1"; "w2"; "w3"; "w4"; "w5" ])
+        in
+        let values =
+          List.map (fun a -> (a, v [| "a"; "b" |].(Random.State.int rng 2))) o.open_attrs
+        in
+        match if o.repeatable then 0 else Random.State.int rng 10 with
+        | 7 -> Engine.decline engine o.id
+        | 8 -> ignore (Engine.assign engine o.id ~worker:(v "idle") ~now)
+        | 9 -> ignore (Engine.supply engine o.id ~worker [ ("bogus", v "x") ])
+        | _ ->
+            ignore
+              (if o.existence then Engine.answer_existence engine o.id ~worker true
+               else Engine.supply engine o.id ~worker values);
+            ignore (Engine.run engine)));
+    if now mod 3 = 2 then sample_against_walk what engine ~round:now
+  done
+
+let point_ages mon = List.map (fun (p : Monitor.point) -> p.p_oldest_age) (Monitor.points mon)
+
+let check_ages what engine =
+  let expect = Oldest_age_reference.ages (Engine.events engine) in
+  Alcotest.(check (list int)) (what ^ ": live = walk") expect
+    (point_ages (Option.get (Engine.monitor engine)));
+  Alcotest.(check (list int)) (what ^ ": of_events = walk") expect
+    (point_ages (Monitor.of_events age_config (Engine.events engine)));
+  expect
+
+(* Every point's oldest age equals the walk over the pending table: live,
+   recounted, restored and recovered, and on the restored and recovered
+   engines as they go on sampling from a fresh cursor. *)
+let test_oldest_age_walk () =
+  List.iter
+    (fun (name, src, policy) ->
+      List.iter
+        (fun seed ->
+          let what = Printf.sprintf "%s, seed %d" name seed in
+          let store = Storage.Sim.create () in
+          let engine = Engine.load (Parser.parse_exn src) in
+          Engine.journal_start ~storage:(Storage.Sim.storage store) engine "journal";
+          Engine.set_lease_config engine
+            (Some { Lease.default_config with ttl = 1; max_timeouts = 1 });
+          Option.iter (Engine.set_quorum_policy engine) policy;
+          Engine.set_monitor engine (Some age_config);
+          ignore (Engine.run engine);
+          let rng = Random.State.make [| seed |] in
+          age_moves what engine ~rng ~from:0 ~steps:45;
+          let ages = check_ages what engine in
+          Alcotest.(check bool) (what ^ ": tasks still pending when restored") true
+            (Engine.pending engine <> []);
+          let restored = Engine.restore_string (Engine.snapshot_string engine) in
+          Alcotest.(check (list int)) (what ^ ": restored = walk") ages
+            (point_ages (Option.get (Engine.monitor restored)));
+          age_moves what restored ~rng:(Random.State.copy rng) ~from:45 ~steps:45;
+          ignore (check_ages (what ^ ", restored and resumed") restored);
+          Option.iter Journal.close (Engine.durable_journal engine);
+          let recovered, _ = Engine.recover ~storage:(Storage.Sim.storage store) "journal" in
+          Alcotest.(check (list int)) (what ^ ": recovered = walk") ages
+            (point_ages (Option.get (Engine.monitor recovered)));
+          age_moves what recovered ~rng ~from:45 ~steps:45;
+          ignore (check_ages (what ^ ", recovered and resumed") recovered))
+        [ 1; 2; 3; 4; 5 ])
+    [ ("labelling, no quorum", staged_src, None);
+      ("labelling, Fixed 2", staged_src, Some (Engine.Fixed 2));
+      ("labelling, Fixed 3", staged_src, Some (Engine.Fixed 3));
+      ("standing task, Fixed 2", standing_src, Some (Engine.Fixed 2)) ]
+
 let suite =
   [ ( "monitor",
       List.map QCheck_alcotest.to_alcotest
@@ -270,4 +401,6 @@ let suite =
           Alcotest.test_case "histogram quantiles interpolate" `Quick
             test_quantile;
           Alcotest.test_case "a second monitor installed mid-campaign" `Quick
-            test_second_monitor ] ) ]
+            test_second_monitor;
+          Alcotest.test_case "oldest pending age = walk over the pending table" `Quick
+            test_oldest_age_walk ] ) ]
