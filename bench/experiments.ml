@@ -731,10 +731,11 @@ let run_durability () =
 (* Minor words per [Journal.append] of a fixed 40-byte payload on
    in-memory storage under [Every_n 8], over 10,000 appends after one
    warm-up append; no append in the window rotates. The count repeats
-   exactly. The bound is the measured figure (35.27 words under 64-bit
+   exactly. The bound is the measured figure (30.27 words under 64-bit
    OCaml 5.1) rounded up: an append that formats its segment's path
-   again, or builds its span attributes untraced, fails it. *)
-let append_words_bound = 36
+   again, builds its span attributes untraced, or allocates a closure to
+   write a segment header it does not have, fails it. *)
+let append_words_bound = 31
 
 let append_words () =
   let storage = Cylog.Storage.Sim.(storage (create ())) in

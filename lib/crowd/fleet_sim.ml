@@ -67,19 +67,9 @@ type outcome = {
   stop_reason : [ `Done | `Stalled | `Max_rounds ];
 }
 
-let shuffle rng xs =
-  let arr = Array.of_list xs in
-  for i = Array.length arr - 1 downto 1 do
-    let j = Random.State.int rng (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done;
-  Array.to_list arr
-
 (* The ground-truth label of an item; a worker reports it with probability
-   [accuracy], else one of two item-specific wrong labels — the same
-   synthetic-crowd shape as Simulator.run_routed, so plurality converges. *)
+   [accuracy], else one of two item-specific wrong labels
+   ({!Simulator.noisy_answer}), so plurality converges. *)
 let true_label id = Printf.sprintf "label-%d" (id mod 5)
 
 let answer_values rng config (ot : Engine.open_tuple) =
@@ -88,13 +78,9 @@ let answer_values rng config (ot : Engine.open_tuple) =
     | Some (Reldb.Value.Int i) -> i
     | _ -> 0
   in
-  let truth = true_label id in
+  let truth = Reldb.Value.String (true_label id) in
   List.map
-    (fun attr ->
-      if Random.State.float rng 1.0 < config.accuracy then
-        (attr, Reldb.Value.String truth)
-      else
-        (attr, Reldb.Value.String (Printf.sprintf "%s#%d" truth (1 + Random.State.int rng 2))))
+    (fun attr -> (attr, Simulator.noisy_answer rng ~accuracy:config.accuracy truth))
     ot.open_attrs
 
 let run ?(config = default_config) server =
@@ -148,7 +134,7 @@ let run ?(config = default_config) server =
                     acted := true;
                     incr answers
                 | _ -> incr rejections))
-        (shuffle rng workers);
+        (Simulator.shuffle rng workers);
       List.iter
         (fun (c, cursor) ->
           ignore (Server.sample server ~campaign:c ~round:n);

@@ -107,13 +107,12 @@ module Stats = struct
     |> List.sort (fun (a, _) (b, _) -> Reldb.Value.compare a b)
 end
 
-(* Round-boundary monitor sampling, shared by both campaign loops: take
-   the sample (a journaled event — the series point and any watchdog
-   verdicts ride in the event log), then apply the caller's reaction to
-   each alert that fired. Returns the firing that should stop the
-   campaign, if any; [`Pause] sets [pause_next] so the next round skips
-   the worker turns (a cooldown round — the machine and lease reclaim
-   still run). *)
+(* Round-boundary monitor sampling: take the sample (a journaled event —
+   the series point and any watchdog verdicts ride in the event log),
+   then apply the caller's reaction to each alert that fired. Returns the
+   firing that should stop the campaign, if any; [`Pause] sets
+   [pause_next] so the next round skips the worker turns (a cooldown
+   round — the machine and lease reclaim still run). *)
 let sample_monitor ~on_alert ~pause_next engine n =
   if Cylog.Engine.monitor engine = None then None
   else begin
@@ -307,171 +306,56 @@ let run ?(seed = 42) ?(max_rounds = 10_000) ?(progress = fun _ -> 0.0) ?lease
 
 (* --- Router-driven campaigns ------------------------------------------------ *)
 
-(* The quality-aware assignment loop: instead of each policy choosing its
-   own task, {!Quality.Router} answers every worker's ask-for-work — no
-   task for workers under the reliability floor, otherwise the pending
-   task with the highest posterior uncertainty the worker has not yet
-   voted on (uncertainty sampling). Workers answer value questions from a
-   caller-supplied ground truth with their profile accuracy: a correct
-   answer with probability [accuracy], else one of two item-specific wrong
-   labels — the synthetic crowd of the quality bench and tests.
-   Existence questions are out of scope and are never routed. *)
-let run_routed ?(seed = 42) ?(max_rounds = 10_000) ?lease ?policy
-    ?monitor ?(on_alert = fun _ -> `Stop)
-    ?(router = Quality.Router.default_config) ~truth ~workers engine =
-  (match lease with
-  | Some _ -> Cylog.Engine.set_lease_config engine lease
-  | None -> ());
-  Option.iter (Cylog.Engine.set_quorum_policy engine) policy;
-  (match monitor with
-  | Some _ -> Cylog.Engine.set_monitor engine monitor
-  | None -> ());
-  let pause_next = ref false in
-  let leased = lease <> None in
-  let rng = Random.State.make [| seed |] in
-  let tel = Cylog.Engine.telemetry engine in
-  let mets = Cylog.Engine.metrics engine in
-  let stats = Stats.create engine in
-  let log = ref [] in
-  let rejected : (Reldb.Value.t, int) Hashtbl.t = Hashtbl.create 8 in
-  let reject worker =
-    Cylog.Telemetry.Metrics.incr mets
-      ("sim.rejected.worker." ^ Reldb.Value.to_display worker);
-    Hashtbl.replace rejected worker
-      (1 + Option.value (Hashtbl.find_opt rejected worker) ~default:0)
-  in
-  let capped = ref 0 in
-  let machine () =
-    match Cylog.Engine.run engine with
-    | _, `Capped -> incr capped
-    | _, `Quiescent -> ()
-  in
-  let routable () =
-    List.filter
-      (fun (o : Cylog.Engine.open_tuple) -> not o.existence)
+let noisy_answer rng ~accuracy correct =
+  if Random.State.float rng 1.0 < accuracy then correct
+  else
+    (* Two wrong alternatives per slot, so sloppy crowds can still pile up
+       on a wrong plurality now and then. *)
+    Reldb.Value.String
+      (Printf.sprintf "%s#%d"
+         (Reldb.Value.to_display correct)
+         (1 + Random.State.int rng 2))
+
+(* Quality-aware assignment as one more crowd strategy: instead of
+   choosing its own task, the worker asks {!Quality.Router} for one — no
+   task under the reliability floor, otherwise the pending value question
+   with the highest posterior uncertainty that the worker has not voted
+   on and that is not designated for someone else (uncertainty sampling).
+   The worker answers it from the caller's ground truth with their profile
+   accuracy. Existence questions are never routed. *)
+let routed_policy ~truth (profile : Worker.profile) engine ~worker ~rng ~round:_ =
+  let reliability = Cylog.Engine.worker_reliability engine worker in
+  let tasks =
+    List.filter_map
+      (fun (o : Cylog.Engine.open_tuple) ->
+        if
+          o.existence
+          || Cylog.Engine.has_voted engine o.id ~worker
+          || (match o.asked with
+             | Some w -> not (Reldb.Value.equal w worker)
+             | None -> false)
+        then None
+        else Some (o, Cylog.Engine.task_uncertainty engine o.id))
       (Cylog.Engine.pending engine)
   in
-  let answer_for (profile : Worker.profile) (o : Cylog.Engine.open_tuple) =
-    List.map
-      (fun attr ->
+  match Quality.Router.route Quality.Router.default_config ~reliability ~tasks with
+  | None -> Pass
+  | Some o ->
+      let answer attr =
         let correct =
           match List.assoc_opt attr (truth o) with
           | Some v -> v
           | None -> Reldb.Value.String "?"
         in
-        if Random.State.float rng 1.0 < profile.Worker.accuracy then (attr, correct)
-        else
-          (* Two wrong alternatives per slot, so sloppy crowds can still
-             pile up on a wrong plurality now and then. *)
-          ( attr,
-            Reldb.Value.String
-              (Printf.sprintf "%s#%d"
-                 (Reldb.Value.to_display correct)
-                 (1 + Random.State.int rng 2)) ))
-      o.open_attrs
+        (attr, noisy_answer rng ~accuracy:profile.Worker.accuracy correct)
+      in
+      Answer (o.id, List.map answer o.open_attrs, Enter_value)
+
+let run_routed ?seed ?policy ~truth ~workers engine =
+  let no_value_question e =
+    Seq.for_all (fun (o : Cylog.Engine.open_tuple) -> o.existence)
+      (Cylog.Engine.pending_seq e)
   in
-  let campaign =
-    Cylog.Telemetry.enter tel "campaign"
-      ~attrs:
-        [ ("seed", string_of_int seed);
-          ("workers", string_of_int (List.length workers));
-          ("router", "on") ]
-      ~clock:(Cylog.Engine.clock engine)
-  in
-  machine ();
-  let idle_rounds = ref 0 in
-  let rounds_done = ref 0 in
-  let rec rounds n =
-    if n > max_rounds then `Max_rounds
-    else if routable () = [] then `Stopped
-    else begin
-      rounds_done := n;
-      if leased then ignore (Cylog.Engine.reclaim engine ~now:n);
-      let acted = ref false in
-      let paused = !pause_next in
-      pause_next := false;
-      if not paused then
-      List.iter
-        (fun ((worker : Reldb.Value.t), profile) ->
-          let reliability = Cylog.Engine.worker_reliability engine worker in
-          let tasks =
-            List.filter_map
-              (fun (o : Cylog.Engine.open_tuple) ->
-                if
-                  Cylog.Engine.has_voted engine o.id ~worker
-                  || (match o.asked with
-                     | Some w -> not (Reldb.Value.equal w worker)
-                     | None -> false)
-                then None
-                else Some (o, Cylog.Engine.task_uncertainty engine o.id))
-              (routable ())
-          in
-          match Quality.Router.route router ~reliability ~tasks with
-          | None -> ()
-          | Some o ->
-              let granted =
-                (not leased)
-                ||
-                match Cylog.Engine.assign engine o.id ~worker ~now:n with
-                | Ok _ -> true
-                | Error _ ->
-                    reject worker;
-                    false
-              in
-              if granted then begin
-                Stats.routed stats worker;
-                let values = answer_for profile o in
-                match Cylog.Engine.supply engine o.id ~worker values with
-                | Ok _ ->
-                    acted := true;
-                    Stats.answered stats worker;
-                    log :=
-                      {
-                        round = n;
-                        clock = Cylog.Engine.clock engine;
-                        worker;
-                        kind = Enter_value;
-                        relation = o.relation;
-                        values;
-                        progress = 0.0;
-                      }
-                      :: !log;
-                    machine ()
-                | Error _ -> reject worker
-              end)
-        (shuffle rng workers);
-      let alert_stop = sample_monitor ~on_alert ~pause_next engine n in
-      Stats.fold stats engine;
-      if !acted then idle_rounds := 0 else incr idle_rounds;
-      if routable () = [] then `Stopped
-      else
-        match alert_stop with
-        | Some f -> `Alert f
-        | None -> if !idle_rounds >= 5 then `Stalled else rounds (n + 1)
-    end
-  in
-  let stop_reason = rounds 1 in
-  Cylog.Telemetry.Metrics.set_gauge mets "sim.rounds" !rounds_done;
-  Cylog.Telemetry.Metrics.set_gauge mets "sim.capped_runs" !capped;
-  Cylog.Telemetry.exit tel campaign
-    ~attrs:
-      [ ( "stop",
-          match stop_reason with
-          | `Stopped -> "stopped"
-          | `Stalled -> "stalled"
-          | `Max_rounds -> "max-rounds"
-          | `Alert _ -> "alert" ) ]
-    ~clock:(Cylog.Engine.clock engine);
-  let rejections =
-    Hashtbl.fold (fun w n acc -> (w, n) :: acc) rejected []
-    |> List.sort (fun (a, _) (b, _) -> Reldb.Value.compare a b)
-  in
-  {
-    log = List.rev !log;
-    rounds = !rounds_done;
-    stop_reason;
-    rejections;
-    capped_runs = !capped;
-    dead_letters = Cylog.Engine.dead_letters engine;
-    worker_stats = Stats.report stats engine;
-  }
+  run ?seed ?policy ~stop:no_value_question
+    ~workers:(List.map (fun (w, profile) -> (w, routed_policy ~truth profile)) workers)
+    engine

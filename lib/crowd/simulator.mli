@@ -106,26 +106,33 @@ val run :
     reclaim and the machine still run but no worker takes a turn;
     [`Warn] carries on (the firing is already journaled and counted). *)
 
+val shuffle : Random.State.t -> 'a list -> 'a list
+(** A seeded Fisher–Yates shuffle: the turn order of each round, and the
+    shuffle {!Fleet_sim} and the TweetPecker policies draw from. *)
+
+val noisy_answer : Random.State.t -> accuracy:float -> Reldb.Value.t -> Reldb.Value.t
+(** [noisy_answer rng ~accuracy correct] is a synthetic worker's answer:
+    [correct] with probability [accuracy], otherwise one of two
+    item-specific wrong labels, ["<correct>#1"] or ["<correct>#2"], so
+    sloppy crowds can still pile up on a wrong plurality. Draws one
+    float, then one int only for a wrong answer. *)
+
 val run_routed :
-  ?seed:int -> ?max_rounds:int ->
-  ?lease:Cylog.Lease.config -> ?policy:Cylog.Engine.quorum_policy ->
-  ?monitor:Cylog.Monitor.config ->
-  ?on_alert:(Cylog.Monitor.firing -> [ `Warn | `Pause | `Stop ]) ->
-  ?router:Quality.Router.config ->
+  ?seed:int -> ?policy:Cylog.Engine.quorum_policy ->
   truth:(Cylog.Engine.open_tuple -> (string * Reldb.Value.t) list) ->
   workers:(Reldb.Value.t * Worker.profile) list ->
   Cylog.Engine.t -> outcome
-(** Quality-aware campaign: assignment is driven by {!Quality.Router}
-    instead of per-worker policies. Each round every worker (in seeded
-    random order) asks the router for work; workers under the reliability
-    floor get none, the rest get the pending value question with the
-    highest {!Cylog.Engine.task_uncertainty} that they have not voted on
-    and that is not designated for someone else. The worker answers
-    [truth o] for each open attribute with probability
-    [profile.accuracy], otherwise one of two item-specific wrong labels —
-    {!Worker.profile} accuracies double as the campaign's ground truth.
+(** Quality-aware campaign: {!run} with one routing policy per worker, so
+    assignment is driven by {!Quality.Router} (its
+    {!Quality.Router.default_config}) instead of by each worker's own
+    choice. On their turn a worker asks the router for work; workers
+    under the reliability floor get none and pass, the rest get the
+    pending value question with the highest
+    {!Cylog.Engine.task_uncertainty} that they have not voted on and that
+    is not designated for someone else. The worker answers each open
+    attribute with {!noisy_answer} at [profile.accuracy] around [truth o]
+    — {!Worker.profile} accuracies double as the campaign's ground truth.
     Existence questions are never routed. Stops when no value questions
     remain pending ([`Stopped]), after five consecutive idle rounds
-    ([`Stalled] — e.g. every worker is below the floor), or at
-    [max_rounds]. [lease]/[policy]/[monitor]/[on_alert] behave
-    as in {!run}. *)
+    ([`Stalled] — e.g. every worker is below the floor), or after
+    {!run}'s 10,000 rounds. [seed] and [policy] are {!run}'s. *)

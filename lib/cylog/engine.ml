@@ -538,6 +538,56 @@ let make_info strategy ((s : Ast.statement), origin) =
 
 let schedule_of db infos = Schedule.create db (Array.map (fun i -> i.body_rels) infos)
 
+(* Each game's path relation, with its Skolem parameters. *)
+let path_rels_of (program : Ast.program) =
+  let path_rels = Hashtbl.create 4 in
+  List.iter
+    (fun (g : Ast.game_decl) ->
+      Hashtbl.replace path_rels (Ast.path_relation_name g.game_name) g.game_params)
+    program.games;
+  path_rels
+
+(* The one engine constructor: [load] hands it a fresh live state and no
+   history, [restore_state] a decoded state and the history it carried.
+   Everything else is derived and starts fresh — plans, delta frontiers,
+   builtins, telemetry, the event fold, the certificate. *)
+let create (program : Ast.program) statements path_rels (p : live_state) ~events
+    ~journal ~encoded =
+  let infos = Array.of_list (List.map (make_info p.st_strategy) statements) in
+  {
+    db = p.st_db;
+    builtins = Builtin.default ();
+    strategy = p.st_strategy;
+    infos;
+    schedule = schedule_of p.st_db infos;
+    fired = p.st_fired;
+    open_tbl = p.st_open_tbl;
+    open_ids =
+      Reldb.Dynarray.of_list
+        (List.sort Int.compare (Hashtbl.fold (fun id _ acc -> id :: acc) p.st_open_tbl []));
+    next_open = p.st_next_open;
+    clock = p.st_clock;
+    events;
+    path_rels;
+    views = program.views;
+    program;
+    leases = p.st_leases;
+    quorum = p.st_quorum;
+    reputation = p.st_reputation;
+    votes = p.st_votes;
+    dead = p.st_dead;
+    journal;
+    encoded;
+    tel = Telemetry.create ();
+    fold = Fold.create ();
+    task_spans = Hashtbl.create 16;
+    monitor = None;
+    wal = None;
+    wal_compact_pending = false;
+    rows_scanned = ref 0;
+    analysis_cache = None;
+  }
+
 let load ?(strategy = Optimized) ?(lint = `Strict) (program : Ast.program) =
   (match lint with
   | `Off -> ()
@@ -550,46 +600,25 @@ let load ?(strategy = Optimized) ?(lint = `Strict) (program : Ast.program) =
             (fun (d : Lint.diagnostic) ->
               Logs.warn (fun m -> m "lint: %s" (Lint.render d)))
             diags));
-  let path_rels = Hashtbl.create 4 in
-  List.iter
-    (fun (g : Ast.game_decl) ->
-      Hashtbl.replace path_rels (Ast.path_relation_name g.game_name) g.game_params)
-    program.games;
+  let path_rels = path_rels_of program in
   let statements = effective_statements program in
   let db = Reldb.Database.create () in
   declare_relations db program statements path_rels;
-  let infos = Array.of_list (List.map (make_info strategy) statements) in
-  {
-    db;
-    builtins = Builtin.default ();
-    strategy;
-    infos;
-    schedule = schedule_of db infos;
-    fired = Hashtbl.create 1024;
-    open_tbl = Hashtbl.create 64;
-    open_ids = Reldb.Dynarray.create ();
-    next_open = 1;
-    clock = 0;
-    events = Reldb.Dynarray.create ();
-    path_rels;
-    views = program.views;
-    program;
-    leases = None;
-    quorum = None;
-    reputation = Quality.Model.create ();
-    votes = Hashtbl.create 16;
-    dead = [];
-    journal = [];
-    encoded = None;
-    tel = Telemetry.create ();
-    fold = Fold.create ();
-    task_spans = Hashtbl.create 16;
-    monitor = None;
-    wal = None;
-    wal_compact_pending = false;
-    rows_scanned = ref 0;
-    analysis_cache = None;
-  }
+  create program statements path_rels ~events:(Reldb.Dynarray.create ()) ~journal:[]
+    ~encoded:None
+    {
+      st_strategy = strategy;
+      st_db = db;
+      st_fired = Hashtbl.create 1024;
+      st_open_tbl = Hashtbl.create 64;
+      st_next_open = 1;
+      st_clock = 0;
+      st_leases = None;
+      st_quorum = None;
+      st_reputation = Quality.Model.create ();
+      st_votes = Hashtbl.create 16;
+      st_dead = [];
+    }
 
 let database t = t.db
 let statements t = Array.to_list (Array.map (fun i -> (i.stmt, i.origin)) t.infos)
@@ -2332,71 +2361,33 @@ let restore_state payload =
       Array.iter (fun e -> ignore (Reldb.Dynarray.push events e)) c.hc_events;
       journal := List.rev_append c.hc_journal !journal)
     chunks_at;
-  let path_rels = Hashtbl.create 4 in
-  List.iter
-    (fun (g : Ast.game_decl) ->
-      Hashtbl.replace path_rels (Ast.path_relation_name g.game_name) g.game_params)
-    program.games;
   let added =
     List.fold_left
       (fun acc e -> match e with J_add_statement s -> (s, Main) :: acc | _ -> acc)
       [] !journal
   in
-  let statements = effective_statements program @ added in
-  let infos = Array.of_list (List.map (make_info p.st_strategy) statements) in
-  let tel = Telemetry.create () in
+  let t =
+    create program (effective_statements program @ added) (path_rels_of program) p
+      ~events ~journal:!journal
+      ~encoded:
+        (Some
+           {
+             program_bytes = value_bytes payload program_at;
+             chunks = List.rev_map (value_bytes payload) chunks_at;
+             events_covered = Reldb.Dynarray.length events;
+             journal_cut = !journal;
+           })
+  in
   (* The journal-derived counters and the monitor are derived state: one
      fold of the restored events rebuilds both, byte-identical to the
      crashed engine's. The last installed monitor config is in the
      journal, like added statements above. *)
-  let fold = Fold.create () and m = Telemetry.metrics tel in
-  let monitor =
+  let m = Telemetry.metrics t.tel in
+  t.monitor <-
     Option.join (List.find_map (function J_set_monitor c -> Some c | _ -> None) !journal)
-    |> Option.map (fun c -> Monitor.create c fold m (Reldb.Dynarray.to_list events))
-  in
-  if Option.is_none monitor then Reldb.Dynarray.iter (Fold.apply fold m) events;
-  {
-    db = p.st_db;
-    builtins = Builtin.default ();
-    strategy = p.st_strategy;
-    infos;
-    schedule = schedule_of p.st_db infos;
-    fired = p.st_fired;
-    open_tbl = p.st_open_tbl;
-    open_ids =
-      Reldb.Dynarray.of_list
-        (List.sort Int.compare (Hashtbl.fold (fun id _ acc -> id :: acc) p.st_open_tbl []));
-    next_open = p.st_next_open;
-    clock = p.st_clock;
-    events;
-    path_rels;
-    views = program.views;
-    program;
-    leases = p.st_leases;
-    quorum = p.st_quorum;
-    reputation = p.st_reputation;
-    votes = p.st_votes;
-    dead = p.st_dead;
-    journal = !journal;
-    encoded =
-      Some
-        {
-          program_bytes = value_bytes payload program_at;
-          chunks = List.rev_map (value_bytes payload) chunks_at;
-          events_covered = Reldb.Dynarray.length events;
-          journal_cut = !journal;
-        };
-    tel;
-    fold;
-    task_spans = Hashtbl.create 16;
-    monitor;
-    wal = None;
-    wal_compact_pending = false;
-    rows_scanned = ref 0;
-    (* The certificate is derived state, recomputed from the restored
-       program on demand. *)
-    analysis_cache = None;
-  }
+    |> Option.map (fun c -> Monitor.create c t.fold m (Reldb.Dynarray.to_list events));
+  if Option.is_none t.monitor then Reldb.Dynarray.iter (Fold.apply t.fold m) events;
+  t
 
 (* The engine a journal's records describe: the base state record
    decoded, then each entry replayed through the public API. Both a

@@ -74,7 +74,9 @@ let frame ?segment kind parts =
   let at = match segment with Some _ -> header_len | None -> 0 in
   let plen = List.fold_left (fun n p -> n + String.length p) 0 parts in
   let b = Bytes.create (at + 10 + plen) in
-  Option.iter (put_header b) segment;
+  (* A match, not [Option.iter (put_header b)]: the partial application
+     would allocate a closure on every append. *)
+  (match segment with Some index -> put_header b index | None -> ());
   Bytes.set_int32_le b at (Int32.of_int (2 + plen));
   Bytes.set b (at + 8) (Char.chr record_version);
   Bytes.set b (at + 9) (Char.chr (kind_byte kind));

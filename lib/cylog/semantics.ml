@@ -281,7 +281,7 @@ let behaviour ?bound p strategies = behaviour_with ~step:apply ?bound p strategi
 let behaviour_delta ?bound p strategies =
   behaviour_with ~step:apply_delta ?bound p strategies
 
-let conclusion ?bound p strategies =
-  match behaviour ?bound p strategies with
+let conclusion p strategies =
+  match behaviour p strategies with
   | states, `Fixpoint -> Some (List.nth_opt states (List.length states - 1) |> Option.get)
   | _, `Bound_reached -> None

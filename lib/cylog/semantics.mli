@@ -86,5 +86,6 @@ val behaviour_delta : ?bound:int -> Ast.program -> strategies -> state list * [ 
     as {!behaviour} over the supported fragment while joining only
     against each round's ΔR. *)
 
-val conclusion : ?bound:int -> Ast.program -> strategies -> state option
-(** The conclusion (final fixpoint state) if reached within [bound]. *)
+val conclusion : Ast.program -> strategies -> state option
+(** The conclusion (final fixpoint state) if {!behaviour} reaches it
+    within its default bound of 1000 applications. *)

@@ -318,8 +318,7 @@ type handle = int
 
 let none : handle = 0
 
-let create ?(sink = Sink.null) () =
-  { snk = sink; mets = Metrics.create (); seq = 0; stack = [] }
+let create () = { snk = Sink.null; mets = Metrics.create (); seq = 0; stack = [] }
 
 let metrics t = t.mets
 let sink t = t.snk
@@ -337,7 +336,7 @@ let enter t ?(attrs = []) name ~clock =
     t.seq
   end
 
-let exit t ?(attrs = []) ?(discard = false) h ~clock =
+let exit t ?(attrs = []) h ~clock =
   if h <> none then begin
     (* Pop through to [h]; anything above it was left open by mistake and
        is closed (emitted) at the same clock to keep the stack coherent. *)
@@ -348,16 +347,15 @@ let exit t ?(attrs = []) ?(discard = false) h ~clock =
           t.stack <- rest;
           let here = o.o_id = h in
           let extra = if here then attrs else [] in
-          if not (here && discard) then
-            Sink.push t.snk
-              {
-                id = o.o_id;
-                parent = o.o_parent;
-                name = o.o_name;
-                started = o.o_started;
-                ended = clock;
-                attrs = o.o_attrs @ extra;
-              };
+          Sink.push t.snk
+            {
+              id = o.o_id;
+              parent = o.o_parent;
+              name = o.o_name;
+              started = o.o_started;
+              ended = clock;
+              attrs = o.o_attrs @ extra;
+            };
           if not here then pop ()
     in
     pop ()

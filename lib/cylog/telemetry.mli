@@ -160,9 +160,9 @@ type handle
 
 val none : handle
 
-val create : ?sink:Sink.t -> unit -> t
-(** Fresh telemetry: given sink (default {!Sink.null}) and a fresh,
-    enabled metrics registry. *)
+val create : unit -> t
+(** Fresh telemetry: the {!Sink.null} sink (swap it with {!set_sink}) and
+    a fresh, enabled metrics registry. *)
 
 val metrics : t -> Metrics.t
 val sink : t -> Sink.t
@@ -179,11 +179,9 @@ val enter : t -> ?attrs:(string * string) list -> string -> clock:int -> handle
 (** Open a span. Under {!Sink.null} returns {!none} without consuming a
     span id. *)
 
-val exit : t -> ?attrs:(string * string) list -> ?discard:bool ->
-  handle -> clock:int -> unit
+val exit : t -> ?attrs:(string * string) list -> handle -> clock:int -> unit
 (** Close a span, appending [attrs] to those given at {!enter}, and emit
-    it — unless [discard] (the span turned out to be empty noise; its id
-    stays consumed, keeping ids deterministic). *)
+    it. *)
 
 val emit : t -> ?parent:handle -> ?attrs:(string * string) list -> string ->
   clock:int -> unit

@@ -43,13 +43,13 @@ type em_result = {
   iterations : int;
 }
 
-let em ?(max_iterations = 100) ?(epsilon = 1e-6) ?(prior_accuracy = 0.7) votes =
+let em votes =
   let items = by_item votes in
   let workers =
     List.sort_uniq compare (List.map (fun v -> v.worker) votes)
   in
   let accuracy : (string, float) Hashtbl.t = Hashtbl.create 16 in
-  List.iter (fun w -> Hashtbl.replace accuracy w prior_accuracy) workers;
+  List.iter (fun w -> Hashtbl.replace accuracy w 0.7) workers;
   let candidates vs = List.sort_uniq compare (List.map (fun v -> v.value) vs) in
   (* E-step: posterior over candidate values of one item. *)
   let posterior vs =
@@ -95,7 +95,7 @@ let em ?(max_iterations = 100) ?(epsilon = 1e-6) ?(prior_accuracy = 0.7) votes =
           Hashtbl.replace accuracy w fresh
         end)
       workers;
-    if !delta < epsilon || n + 1 >= max_iterations then (posts, n + 1) else iterate (n + 1)
+    if !delta < 1e-6 || n + 1 >= 100 then (posts, n + 1) else iterate (n + 1)
   in
   let posts, iterations = iterate 0 in
   let consensus =

@@ -31,14 +31,13 @@ type em_result = {
   iterations : int;  (** EM iterations until convergence *)
 }
 
-val em : ?max_iterations:int -> ?epsilon:float -> ?prior_accuracy:float ->
-  vote list -> em_result
+val em : vote list -> em_result
 (** One-coin Dawid–Skene: each worker answers correctly with an unknown
     probability [a_w] and otherwise picks uniformly among the wrong
     candidates. E-step: posterior over values per item given accuracies;
-    M-step: accuracies from expected correctness. Starts from
-    [prior_accuracy] (default 0.7), stops when no accuracy moves more than
-    [epsilon] (default 1e-6) or after [max_iterations] (default 100).
+    M-step: accuracies from expected correctness. Every worker starts at
+    accuracy 0.7; EM stops when no accuracy moves by 1e-6 or more, or
+    after 100 iterations.
 
     Deterministic: no randomness is involved, items appear in first-vote
     order, candidates and workers in lexicographic order, so identical

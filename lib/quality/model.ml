@@ -38,8 +38,8 @@ let workers t =
 let to_assoc t =
   List.map (fun w -> let s = Hashtbl.find t.tbl w in (w, (s.alpha, s.beta))) (workers t)
 
-let of_assoc ?prior_alpha ?prior_beta l =
-  let t = create ?prior_alpha ?prior_beta () in
+let of_assoc l =
+  let t = create () in
   List.iter
     (fun (w, (alpha, beta)) ->
       (* [seen] is not serialized separately: it is derivable from the

@@ -43,7 +43,7 @@ val to_assoc : t -> (string * (float * float)) list
 (** Serializable state: per observed worker (sorted) the posterior
     [(alpha, beta)]. *)
 
-val of_assoc :
-  ?prior_alpha:float -> ?prior_beta:float -> (string * (float * float)) list -> t
-(** Rebuild a model from {!to_assoc} output (priors apply to workers not
-    in the list). [to_assoc (of_assoc l) = l] for sorted [l]. *)
+val of_assoc : (string * (float * float)) list -> t
+(** Rebuild a model from {!to_assoc} output under {!create}'s default
+    priors (4.0/1.0), which apply to workers not in the list.
+    [to_assoc (of_assoc l) = l] for sorted [l]. *)

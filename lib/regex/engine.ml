@@ -34,9 +34,12 @@ let rec decase (re : Syntax.t) : Syntax.t =
 let compile ?(case_insensitive = false) pattern =
   match Parse.parse pattern with
   | Error e -> Error e
-  | Ok ast ->
+  | Ok ast -> (
       let ast = if case_insensitive then decase ast else ast in
-      Ok { pattern; program = Nfa.compile ast }
+      match Nfa.compile ast with
+      | program -> Ok { pattern; program }
+      | exception Nfa.Too_large ->
+          Error { Parse.position = 0; message = "pattern too large to compile" })
 
 let compile_exn ?case_insensitive pattern =
   match compile ?case_insensitive pattern with
@@ -81,4 +84,4 @@ let replace re ~by s =
   Buffer.add_substring buf s !pos (String.length s - !pos);
   Buffer.contents buf
 
-let is_valid pattern = match Parse.parse pattern with Ok _ -> true | Error _ -> false
+let is_valid pattern = Result.is_ok (compile pattern)

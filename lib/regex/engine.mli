@@ -7,7 +7,11 @@ type t
 
 val compile : ?case_insensitive:bool -> string -> (t, Parse.error) result
 (** [compile pattern] parses and compiles. With [~case_insensitive:true]
-    (default [false]) ASCII letters match both cases. *)
+    (default [false]) ASCII letters match both cases. Never raises: a
+    malformed pattern, a repetition bound past [max_int] and a pattern
+    whose program would pass {!Nfa.compile}'s 100,000 instructions are all
+    an [Error] — which is what lets the [matches] builtin and
+    [Tweets.Extraction] treat any worker-entered pattern as data. *)
 
 val compile_exn : ?case_insensitive:bool -> string -> t
 (** Like {!compile}. @raise Invalid_argument on malformed patterns. *)
@@ -38,5 +42,5 @@ val replace : t -> by:string -> string -> string
 (** Replace every non-overlapping match by [by]. *)
 
 val is_valid : string -> bool
-(** True iff the pattern parses — used to screen worker-entered
-    conditions. *)
+(** [is_valid p] is [Result.is_ok (compile p)] — used to screen
+    worker-entered conditions. *)

@@ -67,9 +67,17 @@ let compile re =
         go a;
         patch em split (Split (split + 1, em.len))
     | Syntax.Repeat (a, lo, hi) -> (
-        for _ = 1 to lo do
-          go a
-        done;
+        (* Every copy of [a] emits what the first did, so once a copy emits
+           nothing the rest are skipped: [(){99999999999}] compiles at once
+           instead of counting through its bound. *)
+        let rec copies n =
+          if n > 0 then begin
+            let before = em.len in
+            go a;
+            if em.len > before then copies (n - 1)
+          end
+        in
+        copies lo;
         match hi with
         | None -> go (Syntax.Star a)
         | Some h ->

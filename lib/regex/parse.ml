@@ -115,7 +115,10 @@ let parse_int st =
   in
   loop ();
   if st.pos = start then None
-  else Some (int_of_string (String.sub st.pattern start (st.pos - start)))
+  else
+    match int_of_string_opt (String.sub st.pattern start (st.pos - start)) with
+    | Some n -> Some n
+    | None -> fail start "repetition bound too large"
 
 let parse_bounds st =
   (* Called after '{'. *)

@@ -34,8 +34,7 @@ let metrics t = t.server_metrics
 let shard t i = t.pool.(i)
 let campaigns t = List.rev t.open_names
 
-let open_campaign t ~name ?(partition_by = []) ?lease ?policy ?relations
-    ?monitor program =
+let open_campaign t ~name ?(partition_by = []) ?lease ?policy ?monitor program =
   if List.mem name t.open_names then
     failwith (Printf.sprintf "campaign %S already open" name);
   Telemetry.Metrics.incr t.server_metrics "server.campaigns_opened";
@@ -50,7 +49,7 @@ let open_campaign t ~name ?(partition_by = []) ?lease ?policy ?relations
       in
       Shard.open_slot sh ~campaign:name ?journal_dir
         ?journal_config:t.journal_config
-        ?storage:(t.storage_for i) ?lease ?policy ?relations ?monitor
+        ?storage:(t.storage_for i) ?lease ?policy ?monitor
         splits.(i))
     t.pool;
   t.open_names <- name :: t.open_names

@@ -67,14 +67,14 @@ val open_campaign :
   ?partition_by:Router.placement list ->
   ?lease:Lease.config ->
   ?policy:Engine.quorum_policy ->
-  ?relations:string list ->
   ?monitor:Monitor.config ->
   Ast.program ->
   unit
 (** Split the program over the shards ({!Router.split_program}) and open
     one slot per shard. Without [partition_by] every statement is
     replicated — correct but redundant beyond one shard, so real
-    multi-shard campaigns should partition their fact relations.
+    multi-shard campaigns should partition their fact relations. [policy]
+    covers every eligible task, in any relation ({!Shard.open_slot}).
     @raise Failure on a duplicate campaign name. *)
 
 val campaigns : t -> string list

@@ -72,7 +72,7 @@ let record_latency t ns =
 let latencies_ns t = Array.sub t.lat 0 t.lat_n
 
 let open_slot t ~campaign ?journal_dir ?journal_config ?storage ?lease ?policy
-    ?relations ?monitor program =
+    ?monitor program =
   if Hashtbl.mem t.slots campaign then
     failwith (Printf.sprintf "shard %d: campaign %S already open" t.sid campaign);
   let engine = Engine.load program in
@@ -80,7 +80,7 @@ let open_slot t ~campaign ?journal_dir ?journal_config ?storage ?lease ?policy
   | Some dir -> Engine.journal_start ?config:journal_config ?storage engine dir
   | None -> ());
   Option.iter (fun cfg -> Engine.set_lease_config engine (Some cfg)) lease;
-  Option.iter (Engine.set_quorum_policy engine ?relations) policy;
+  Option.iter (Engine.set_quorum_policy engine) policy;
   Option.iter (fun cfg -> Engine.set_monitor engine (Some cfg)) monitor;
   ignore (Engine.run engine);
   Hashtbl.add t.slots campaign

@@ -70,14 +70,15 @@ val open_slot :
   ?storage:(module Storage.S) ->
   ?lease:Lease.config ->
   ?policy:Engine.quorum_policy ->
-  ?relations:string list ->
   ?monitor:Monitor.config ->
   Ast.program ->
   unit
 (** Load this shard's split of a campaign program, attach its journal
     (when [journal_dir] is given), install lease/quorum/monitor config,
-    and run to initial quiescence. @raise Failure on a duplicate
-    campaign name. *)
+    and run to initial quiescence. The quorum [policy] is installed
+    without a relation scope ({!Engine.set_quorum_policy} with no
+    [relations]), so it covers every eligible task. @raise Failure on a
+    duplicate campaign name. *)
 
 val campaigns : t -> string list
 (** Open campaign names, in opening order. *)

@@ -79,16 +79,16 @@ let read_result engine engine_steps =
   in
   { state; head; tape; engine_steps }
 
-let run ?(max_steps = 100_000) m ~input =
+let run m ~input =
   let engine = load m ~input in
-  let steps, _ = Cylog.Engine.run engine ~max_steps in
+  let steps, _ = Cylog.Engine.run engine ~max_steps:100_000 in
   read_result engine steps
 
-let agrees_with_direct ?max_steps m ~input =
-  match Machine.run ?max_steps m ~input with
+let agrees_with_direct m ~input =
+  match Machine.run m ~input with
   | Error _ -> false
   | Ok (direct, _) ->
-      let cy = run ?max_steps m ~input in
+      let cy = run m ~input in
       String.equal cy.state direct.Machine.state
       && cy.tape = direct.Machine.tape
 

@@ -23,14 +23,15 @@ type run_result = {
   engine_steps : int;
 }
 
-val run : ?max_steps:int -> Machine.t -> input:string list -> run_result
-(** Execute the CyLog encoding to fixpoint (or [max_steps] engine steps,
-    default 100_000) and read the final configuration back out of the
-    database. *)
+val run : Machine.t -> input:string list -> run_result
+(** Execute the CyLog encoding to fixpoint (or 100,000 engine steps) and
+    read the final configuration back out of the database. *)
 
-val agrees_with_direct : ?max_steps:int -> Machine.t -> input:string list -> bool
+val agrees_with_direct : Machine.t -> input:string list -> bool
 (** Theorem 4 check: the CyLog encoding and the direct implementation halt
-    in the same state with the same non-blank tape. *)
+    in the same state with the same non-blank tape. The direct run gets
+    {!Machine.run}'s default 10,000 steps and the encoding {!run}'s
+    100,000; a direct run that does not halt is a disagreement. *)
 
 (** An interactive machine witnessing class [G_*] (Theorem 3): the machine
     repeatedly asks a human to dictate the symbol under the head; each

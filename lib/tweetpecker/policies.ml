@@ -44,16 +44,6 @@ let bag_pop_random b rng =
     Some x
   end
 
-let shuffle rng xs =
-  let arr = Array.of_list xs in
-  for i = Array.length arr - 1 downto 1 do
-    let j = Random.State.int rng (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done;
-  Array.to_list arr
-
 (* Slice [xs] round-robin: worker k of n receives elements k, k+n, ... *)
 let round_robin n k xs = List.filteri (fun i _ -> i mod n = k) xs
 
@@ -98,11 +88,13 @@ let prepare ~seed ~corpus ~workers =
             (* A personal shuffled mix of good and bad rules, entered at
                uniformly random completion points. *)
             let rng = Random.State.make [| seed; Hashtbl.hash w.name; 7 |] in
-            let good = shuffle rng (Tweets.Extraction.good_rules ()) in
-            let bad = shuffle rng (Tweets.Extraction.bad_rules ()) in
+            let good = Crowd.Simulator.shuffle rng (Tweets.Extraction.good_rules ()) in
+            let bad = Crowd.Simulator.shuffle rng (Tweets.Extraction.bad_rules ()) in
             let n_good = int_of_float (good_ratio *. 8.0) in
             let take n xs = List.filteri (fun i _ -> i < n) xs in
-            let mix = shuffle rng (take n_good good @ take (8 - n_good) bad) in
+            let mix =
+              Crowd.Simulator.shuffle rng (take n_good good @ take (8 - n_good) bad)
+            in
             List.sort
               (fun (a, _) (b, _) -> compare a b)
               (List.map (fun r -> (Random.State.float rng spread, r)) mix)

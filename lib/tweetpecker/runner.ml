@@ -79,9 +79,8 @@ let collect_extracts db =
             int_of (Reldb.Tuple.get_or_null t "rid") ))
         (Reldb.Relation.tuples rel)
 
-let run ?(seed = 7) ?corpus ?workers ?strategy ?lease
-    ?policy ?monitor ?on_alert ?faults ?sink ?journal ?journal_config
-    ?storage_faults variant =
+let run ?(seed = 7) ?corpus ?workers ?strategy ?lease ?policy ?monitor ?faults
+    ?sink ?journal ?storage_faults variant =
   let corpus = match corpus with Some c -> c | None -> Tweets.Generator.corpus () in
   let workers = match workers with Some w -> w | None -> default_workers variant in
   let names = List.map (fun (w : Crowd.Worker.profile) -> w.name) workers in
@@ -103,9 +102,9 @@ let run ?(seed = 7) ?corpus ?workers ?strategy ?lease
   let start_journal engine dir =
     match sim_store with
     | Some store ->
-        Cylog.Engine.journal_start ?config:journal_config
+        Cylog.Engine.journal_start
           ~storage:(Cylog.Storage.Sim.storage !store) engine dir
-    | None -> Cylog.Engine.journal_start ?config:journal_config engine dir
+    | None -> Cylog.Engine.journal_start engine dir
   in
   let engine = Cylog.Engine.load ?strategy program in
   Option.iter (start_journal engine) jdir;
@@ -139,8 +138,8 @@ let run ?(seed = 7) ?corpus ?workers ?strategy ?lease
   let rec drive attempts engine =
     try
       let sim =
-        Crowd.Simulator.run ~seed ~progress ?lease ?policy ?monitor
-          ?on_alert ~stop ~workers:sim_workers engine
+        Crowd.Simulator.run ~seed ~progress ?lease ?policy ?monitor ~stop
+          ~workers:sim_workers engine
       in
       Option.iter Cylog.Journal.sync (Cylog.Engine.durable_journal engine);
       (engine, sim)
@@ -156,13 +155,8 @@ let run ?(seed = 7) ?corpus ?workers ?strategy ?lease
               Cylog.Storage.Sim.copy !store
           in
           store := image;
-          (* Keep the caller's journal config across the reopen — without
-             it the recovered journal would silently revert to
-             [Journal.default_config] (e.g. compaction disabled) for the
-             rest of the campaign. *)
           let engine, stats =
-            Cylog.Engine.recover ?config:journal_config
-              ~storage:(Cylog.Storage.Sim.storage image) dir
+            Cylog.Engine.recover ~storage:(Cylog.Storage.Sim.storage image) dir
           in
           (match sink with Some s -> Cylog.Engine.set_sink engine s | None -> ());
           recoveries := !recoveries @ [ stats ];

@@ -31,11 +31,8 @@ val run :
   ?seed:int -> ?corpus:Tweets.Generator.tweet list ->
   ?workers:Crowd.Worker.profile list -> ?strategy:Cylog.Engine.strategy ->
   ?lease:Cylog.Lease.config -> ?policy:Cylog.Engine.quorum_policy ->
-  ?monitor:Cylog.Monitor.config ->
-  ?on_alert:(Cylog.Monitor.firing -> [ `Warn | `Pause | `Stop ]) ->
-  ?faults:Crowd.Faults.fault list ->
+  ?monitor:Cylog.Monitor.config -> ?faults:Crowd.Faults.fault list ->
   ?sink:Cylog.Telemetry.Sink.t -> ?journal:string ->
-  ?journal_config:Cylog.Journal.config ->
   ?storage_faults:Crowd.Faults.storage_fault list -> Programs.variant -> outcome
 (** Run a variant to termination (all (tweet, attribute) pairs agreed) on
     the standard corpus (463 tweets) with the default crowd. [strategy]
@@ -43,16 +40,17 @@ val run :
     selects the rescan evaluation the differential tests hold the
     default [Optimized] to. [lease]
     and [policy] are passed through to {!Crowd.Simulator.run} (lease
-    runtime, and [Fixed] or [Adaptive] redundant assignment); [monitor] and [on_alert] install the campaign monitor and
-    its alert reactions (see {!Crowd.Simulator.run} — by default any
-    watchdog firing stops the campaign with [`Alert]); [faults] wraps
+    runtime, and [Fixed] or [Adaptive] redundant assignment); [monitor]
+    installs the campaign monitor, and any watchdog firing stops the
+    campaign with [`Alert] (see {!Crowd.Simulator.run}); [faults] wraps
     every worker with {!Crowd.Faults.inject} under the same [seed]. [sink] installs a tracing sink on the engine
     before the campaign starts (see {!Cylog.Telemetry.Sink}); the
     engine's metrics registry is reachable afterwards through
     [outcome.engine].
 
     [journal] runs the campaign with a durable WAL in that directory
-    ({!Cylog.Engine.journal_start}); [journal_config] tunes it.
+    ({!Cylog.Engine.journal_start}) under {!Cylog.Journal.default_config},
+    before and after any recovery.
     [storage_faults] additionally swaps the journal's storage for the
     fault-injecting in-memory simulator under the given profile (seeded
     by the same [seed] as the crowd; see {!Crowd.Faults.storage_plan}) —

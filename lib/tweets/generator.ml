@@ -61,11 +61,11 @@ let capitalize s =
   if s = "" then s
   else String.make 1 (Char.uppercase_ascii s.[0]) ^ String.sub s 1 (String.length s - 1)
 
-let generate ?(seed = 2013) ?(ambiguous_rate = 0.25) ?(placeless_rate = 0.15) n =
+let generate ?(seed = 2013) n =
   let rng = Random.State.make [| seed |] in
   List.init n (fun id ->
-      let ambiguous = Random.State.float rng 1.0 < ambiguous_rate in
-      let placeless = Random.State.float rng 1.0 < placeless_rate in
+      let ambiguous = Random.State.float rng 1.0 < 0.25 in
+      let placeless = Random.State.float rng 1.0 < 0.15 in
       if ambiguous then
         if placeless then
           { id; text = (pick rng ambiguous_placeless_templates) ();

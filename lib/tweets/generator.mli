@@ -17,10 +17,10 @@ type tweet = {
 val default_count : int
 (** 463 — the paper's corpus size. *)
 
-val generate :
-  ?seed:int -> ?ambiguous_rate:float -> ?placeless_rate:float -> int -> tweet list
-(** [generate n] builds [n] tweets. Defaults: [seed] 2013 (the collection
-    year), [ambiguous_rate] 0.25, [placeless_rate] 0.15. *)
+val generate : ?seed:int -> int -> tweet list
+(** [generate n] builds [n] tweets from [seed] (default 2013, the
+    collection year). Each tweet is ambiguous about the weather with
+    probability 0.25 and names no place with probability 0.15. *)
 
 val corpus : unit -> tweet list
 (** [generate default_count] with all defaults — the standard corpus every

@@ -262,10 +262,57 @@ let prop_search_iff_some_substring =
           done;
           Regex.Engine.search r s = !any_sub)
 
+(* Worker-entered patterns are arbitrary strings, so [compile] must
+   return on every one. The generator favours what repetition bounds and
+   groups are made of: digit runs up to 25 long inside braces (past
+   [max_int] from 19 digits on) and groups nested three deep under bounds
+   (past the instruction budget, or around a body that compiles to
+   nothing). *)
+let gen_pattern_text =
+  let open QCheck.Gen in
+  let digits =
+    map (String.concat "")
+      (list_size (int_range 1 25) (map string_of_int (int_range 0 9)))
+  in
+  let piece =
+    frequency
+      [ ( 4,
+          map (String.make 1)
+            (oneofl
+               [ 'a'; 'b'; '('; ')'; '{'; '}'; ','; '|'; '*'; '+'; '?'; '['; ']';
+                 '^'; '$'; '\\'; '.'; '-' ]) );
+        (2, digits);
+        (2, map (fun d -> "{" ^ d ^ "}") digits);
+        (1, map2 (fun d e -> "{" ^ d ^ "," ^ e ^ "}") digits digits) ]
+  in
+  let rec nested depth =
+    let flat = map (String.concat "") (list_size (int_range 0 5) piece) in
+    if depth = 0 then flat
+    else
+      frequency
+        [ (1, flat);
+          ( 2,
+            map2
+              (fun inner d -> "(" ^ inner ^ "){" ^ d ^ "}")
+              (nested (depth - 1)) digits ) ]
+  in
+  map (String.concat "") (list_size (int_range 1 3) (nested 3))
+
+let prop_compile_never_raises =
+  QCheck.Test.make ~name:"compile returns on any pattern text" ~count:500
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_pattern_text)
+    (fun p ->
+      let returns case_insensitive =
+        match Regex.Engine.compile ~case_insensitive p with
+        | Ok _ | Error _ -> true
+        | exception _ -> false
+      in
+      returns false && returns true)
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_vm_agrees_with_oracle; prop_roundtrip_print_parse;
-      prop_search_iff_some_substring ]
+      prop_search_iff_some_substring; prop_compile_never_raises ]
 
 let suite =
   [ ( "regex.parse",

@@ -261,6 +261,36 @@ let test_run_signal () =
   | 0, `Quiescent -> ()
   | _ -> Alcotest.fail "a quiescent engine reports 0 steps, Quiescent"
 
+(* Patterns reach the regex compiler as data (facts here; worker answers
+   under VRE): a bound past [max_int] and nested bounded repeats past the
+   instruction budget make [matches] false, as a malformed pattern does,
+   instead of stopping the run. *)
+let test_uncompilable_patterns_never_match () =
+  let engine =
+    Engine.load
+      (Parser.parse_exn
+         {|
+      rules:
+        Tweet(tw:1, text:"aaa");
+        Rule(rid:1, cond:"a{99999999999999999999}");
+        Rule(rid:2, cond:"((a{100}){100}){10}");
+        Rule(rid:3, cond:"a+");
+        Hit(tw, rid) <- Tweet(tw, text), Rule(rid, cond), matches(cond, text);
+      |})
+  in
+  (match Engine.run engine with
+  | _, `Quiescent -> ()
+  | _, `Capped -> Alcotest.fail "the run must reach quiescence");
+  let hits =
+    match Reldb.Database.find (Engine.database engine) "Hit" with
+    | None -> []
+    | Some rel ->
+        List.map
+          (fun t -> Reldb.Value.to_display (Reldb.Tuple.get_or_null t "rid"))
+          (Reldb.Relation.tuples rel)
+  in
+  Alcotest.(check (list string)) "only rid 3 matches" [ "3" ] hits
+
 (* --- Quorum --------------------------------------------------------------- *)
 
 let quorum_engine ?(k = 3) src =
@@ -728,7 +758,9 @@ let suite =
         Alcotest.test_case "lease holder + rejection budget" `Quick
           test_lease_holder_reject_and_budget;
         Alcotest.test_case "decline is audited" `Quick test_decline_is_audited;
-        Alcotest.test_case "run reports quiescent vs capped" `Quick test_run_signal ] );
+        Alcotest.test_case "run reports quiescent vs capped" `Quick test_run_signal;
+        Alcotest.test_case "uncompilable patterns never match" `Quick
+          test_uncompilable_patterns_never_match ] );
     ( "robustness.quorum",
       [ Alcotest.test_case "majority resolution" `Quick test_quorum_majority;
         Alcotest.test_case "existence majority" `Quick test_quorum_existence_majority;
