@@ -731,11 +731,12 @@ let run_durability () =
 (* Minor words per [Journal.append] of a fixed 40-byte payload on
    in-memory storage under [Every_n 8], over 10,000 appends after one
    warm-up append; no append in the window rotates. The count repeats
-   exactly. The bound is the measured figure (30.27 words under 64-bit
+   exactly. The bound is the measured figure (26.27 words under 64-bit
    OCaml 5.1) rounded up: an append that formats its segment's path
-   again, builds its span attributes untraced, or allocates a closure to
-   write a segment header it does not have, fails it. *)
-let append_words_bound = 31
+   again, builds its span attributes untraced, allocates a closure to
+   write a segment header it does not have, or one per checksummed
+   slice, fails it. *)
+let append_words_bound = 27
 
 let append_words () =
   let storage = Cylog.Storage.Sim.(storage (create ())) in
@@ -1209,10 +1210,35 @@ let serve_pool_gate () =
       (fun (server, campaign, _) -> ignore (Server.sample server ~campaign ~round:0))
       slots
 
+(* WAL appends per accepted answer over serve-smoke's fleet: the genesis
+   records, one entry per engine call a request makes (lease attempt,
+   answer, reclaim, sample), and a run after each answer that wrote a
+   relation. The counts repeat exactly, so the bound is the measured figure
+   (290 appends for 60 answers) rounded up: one more append fails it, and
+   so does a shard that journals a run after a vote that only banked or
+   after a reclaim (390 appends, 6.50 per answer). *)
+let serve_appends_per_answer = 4.84
+
+let slot_appends server ~shards ~campaigns =
+  let total = ref 0 in
+  for s = 0 to shards - 1 do
+    for k = 0 to campaigns - 1 do
+      let campaign = Crowd.Fleet_sim.campaign_name k in
+      match Server.Shard.engine (Server.shard server s) ~campaign with
+      | Some e ->
+          Option.iter
+            (fun j -> total := !total + (Cylog.Journal.stats j).Cylog.Journal.appends)
+            (Cylog.Engine.durable_journal e)
+      | None -> ()
+    done
+  done;
+  !total
+
 (* The serve regression gate, wired into [dune runtest] via the
    [serve-smoke] alias: a small fixed-seed fleet on in-memory storage
    must route every partitioned fact to its hash-owned shard, finish the
    campaigns with exact quorum arithmetic, merge a sane fleet monitor,
+   journal at most [serve_appends_per_answer] WAL entries per answer,
    and recover every shard's slot from its compacted journal to a
    byte-identical trace with O(live state) replay. A history-length gate
    then holds polls, pending counts and leases to the live state, and a
@@ -1274,6 +1300,13 @@ let run_serve_smoke () =
   if o.resolved <> tasks then fail "resolved %d tasks, expected %d" o.resolved tasks;
   if o.answers <> tasks * config.quorum then
     fail "accepted %d answers, expected %d" o.answers (tasks * config.quorum);
+  let appends = slot_appends server ~shards ~campaigns:config.campaigns in
+  let per_answer = float_of_int appends /. float_of_int o.answers in
+  Format.printf "  WAL: %d appends for %d accepted answers, %.3f per answer (bound %.2f)@."
+    appends o.answers per_answer serve_appends_per_answer;
+  if per_answer > serve_appends_per_answer then
+    fail "%.3f WAL appends per accepted answer, bound %.2f" per_answer
+      serve_appends_per_answer;
   let view = Server.stats server in
   if view.Server.Fleet.pending <> 0 then
     fail "%d tasks still pending after completion" view.Server.Fleet.pending;

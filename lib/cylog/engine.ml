@@ -266,14 +266,17 @@ type t = {
    magic, then the version as one byte), then separately marshalled
    values back to back —
 
-     "CYLOG-STATE/" \003  program  live_state  chunk_1 .. chunk_n
+     "CYLOG-STATE/" \004  program  chunk_1 .. chunk_n  live_state
 
    The history is encoded once. The program is marshalled by the first
    record; each record marshals the live state afresh and, as a new
    chunk, the events and journal entries appended since the previous
    record, and copies every other part from strings the engine kept
    (see [encoded_history]). So a record costs O(live state + new
-   history) to marshal. Closure-bearing state — builtins,
+   history) to marshal, and, since everything it copies comes first,
+   O(live state + new history) to checksum: the journal reuses the CRC
+   register after each leading part it saw in the previous record
+   ({!Journal.compact}). Closure-bearing state — builtins,
    statement plans and delta frontiers, telemetry — is rebuilt by
    [restore_state]. The fired memo rides along, so the rebuilt delta
    state re-derives without re-firing and the continued trace stays
@@ -298,7 +301,7 @@ type history_chunk = {
 }
 
 let state_magic = "CYLOG-STATE/"
-let state_version = 3
+let state_version = 4
 let state_tag = state_magic ^ String.make 1 (Char.chr state_version)
 
 (* The entries of a reverse-chronological journal in front of [cut],
@@ -357,7 +360,7 @@ let state_parts t =
       st_dead = t.dead;
     }
   in
-  state_tag :: h.program_bytes :: Marshal.to_string live [] :: List.rev h.chunks
+  state_tag :: h.program_bytes :: List.rev_append h.chunks [ Marshal.to_string live [] ]
 
 let wal_append t (e : jentry) =
   match t.wal with
@@ -2311,11 +2314,12 @@ let payload_version payload =
     Char.code payload.[m]
   else 1
 
-(* The Marshal values that follow the tag, as (offset, size). *)
+(* The Marshal values that follow the tag, as (offset, size), last
+   first. *)
 let payload_values payload =
   let len = String.length payload in
   let rec go pos acc =
-    if pos = len then List.rev acc
+    if pos = len then acc
     else
       let size =
         try Marshal.total_size (Bytes.unsafe_of_string payload) pos
@@ -2333,8 +2337,8 @@ let unmarshal_at payload (pos, _) =
 let value_bytes payload (pos, size) = String.sub payload pos size
 
 (* The inverse of [state_parts]: check the version tag before any
-   unmarshalling, decode the program, the live state and the history
-   chunks in order, and rebuild a live engine around them. The engine
+   unmarshalling, decode the program, the history chunks in order and
+   the live state last, and rebuild a live engine around them. The engine
    keeps the program's and the chunks' bytes, so its next record copies
    them instead of encoding the old history again. Plans, delta
    frontiers and statement memos start fresh — the fired memo (restored)
@@ -2346,10 +2350,13 @@ let value_bytes payload (pos, size) = String.sub payload pos size
 let restore_state payload =
   let version = payload_version payload in
   if version <> state_version then snapshot_error (Unsupported_version version);
-  let program_at, live_at, chunks_at =
+  let program_at, chunks_at, live_at =
     match payload_values payload with
-    | program_at :: live_at :: chunks_at -> (program_at, live_at, chunks_at)
-    | _ -> snapshot_error Corrupt_payload
+    | live_at :: rest -> (
+        match List.rev rest with
+        | program_at :: chunks_at -> (program_at, chunks_at, live_at)
+        | [] -> snapshot_error Corrupt_payload)
+    | [] -> snapshot_error Corrupt_payload
   in
   let program : Ast.program = unmarshal_at payload program_at in
   let p : live_state = unmarshal_at payload live_at in

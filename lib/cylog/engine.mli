@@ -228,7 +228,11 @@ val run : ?max_steps:int -> t -> int * [ `Quiescent | `Capped ]
 (** Step until quiescent; returns the number of steps taken and whether
     evaluation actually quiesced or was cut off at [max_steps] (default
     1_000_000) with machine work still pending — callers that [ignore] the
-    distinction cannot tell a finished campaign from a truncated one. *)
+    distinction cannot tell a finished campaign from a truncated one.
+    Every call is journaled, even when the fixpoint already holds. Rules
+    read only relations, so a caller that left the engine quiescent and
+    has since written no relation (see {!Fold.writes}) can skip the call
+    and its entry, as the server's shard does. *)
 
 val pending : t -> open_tuple list
 (** Unresolved open tuples, oldest first. O(pending), whatever the number
@@ -542,11 +546,13 @@ val restore_string : string -> t
     entries, not O(journal length).
 
     A genesis or compaction record's payload is a version tag
-    (["CYLOG-STATE/"] and the version byte, 3), the marshalled program,
-    the marshalled live state and the history chunks: each chunk holds the events and journal entries
-    appended between two records and is marshalled once, by the record
-    that cuts it. The engine keeps those strings, so a compaction
-    marshals O(live state + new history) and copies the rest. See
+    (["CYLOG-STATE/"] and the version byte, 4), the marshalled program,
+    the history chunks and, last, the marshalled live state: each chunk
+    holds the events and journal entries appended between two records
+    and is marshalled once, by the record that cuts it. The engine keeps
+    those strings, so a compaction marshals O(live state + new history)
+    and copies the rest; since the copied parts lead the record, the
+    journal checksums only the new chunk and the live state. See
     docs/DURABILITY.md for the format and the crash-consistency
     guarantees. *)
 

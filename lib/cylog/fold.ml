@@ -27,6 +27,16 @@ let retirements (ev : Event.event) =
     ~rides:(List.exists (function Event.Vote_recorded _ -> false | _ -> true) ev.effects)
     ev.effects
 
+(* Exhaustive, so a new effect has to say whether it writes. *)
+let writes (ev : Event.event) =
+  List.exists
+    (function
+      | Event.Inserted _ | Updated _ | Deleted _ | Awarded _ -> true
+      | Open_created _ | No_effect | Vote_recorded _ | Dead_lettered _
+      | Adaptive_resolved _ | Resolved _ | Sampled _ | Alert_fired _ ->
+          false)
+    ev.effects
+
 (* A pending task that has banked a vote. Only quorum tasks ever do, so
    the creation clock every task needs lives in a table of its own: a
    record per task would double the words a campaign of unvoted tasks

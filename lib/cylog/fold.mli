@@ -21,6 +21,12 @@ val retirements : Event.event -> retirement list
     only banks a vote. The one decoder of these shapes: the fold and the
     server's [resolve_poll] both read it. *)
 
+val writes : Event.event -> bool
+(** The event wrote a relation ([Inserted], [Updated], [Deleted] or
+    [Awarded]). Rules read only relations, so from quiescence only such
+    an event can give a rule an instance to fire: the server's shard runs
+    the engine after an accepted answer only when it wrote. *)
+
 val vote : Event.event -> (Event.open_id * int) option
 (** The vote an event records: the task and the votes now banked on it. *)
 

@@ -66,11 +66,33 @@ let header_valid contents index =
 
 let kind_byte = function Genesis -> 0 | Entry -> 1 | Snapshot -> 2
 
+let crc_part crc p = Storage.crc_update crc p ~pos:0 ~len:(String.length p)
+
+(* Each of [parts] with the CRC register before and after it, folded
+   from [crc]. The register after a part depends only on the register
+   before it and its bytes, so a part that [known] (such a list from an
+   earlier record) holds in the same place, as the same string behind the
+   same register, takes the register after it from [known] and is not
+   read again. *)
+let rec registers known crc = function
+  | [] -> []
+  | p :: parts ->
+      let after, known =
+        match known with
+        | (q, before, after) :: known when q == p && before = crc -> (after, known)
+        | _ :: known -> (crc_part crc p, known)
+        | [] -> (crc_part crc p, [])
+      in
+      (p, crc, after) :: registers known after parts
+
 (* One record whose payload is the concatenation of [parts], ready for a
    single [St.append]: the parts are copied once, into the buffer that
    carries the frame (behind the header of segment [segment], when the
-   record opens one), and checksummed in place. *)
-let frame ?segment kind parts =
+   record opens one). The checksum folds one register over the version
+   and kind bytes, then part by part. Given [known], the registers of
+   the previous record framed with it, the record reuses those of the
+   parts it repeats and leaves its own in [known]. *)
+let frame ?segment ?known kind parts =
   let at = match segment with Some _ -> header_len | None -> 0 in
   let plen = List.fold_left (fun n p -> n + String.length p) 0 parts in
   let b = Bytes.create (at + 10 + plen) in
@@ -86,8 +108,17 @@ let frame ?segment kind parts =
          Bytes.blit_string p 0 b pos (String.length p);
          pos + String.length p)
        (at + 10) parts);
-  Bytes.set_int32_le b (at + 4)
-    (Storage.crc32_sub (Bytes.unsafe_to_string b) ~pos:(at + 8) ~len:(2 + plen));
+  let head =
+    Storage.crc_update Storage.crc_start (Bytes.unsafe_to_string b) ~pos:(at + 8) ~len:2
+  in
+  let crc =
+    match known with
+    | None -> List.fold_left crc_part head parts
+    | Some known ->
+        known := registers !known head parts;
+        List.fold_left (fun _ (_, _, after) -> after) head !known
+  in
+  Bytes.set_int32_le b (at + 4) (Storage.crc_final crc);
   Bytes.unsafe_to_string b
 
 (* How a sequential parse of a segment's record run ends. [Torn] means the
@@ -163,6 +194,9 @@ type t = {
   mutable n_dir_fsyncs : int;
   mutable n_rotations : int;
   mutable n_compactions : int;
+  snapshot_crcs : (string * int * int) list ref;
+      (* the parts of the last compaction record, each with the CRC
+         registers before and after it (see [registers]) *)
   mutable tel : (Telemetry.t * (unit -> int)) option;
 }
 
@@ -262,7 +296,7 @@ let compact t parts =
   let target = t.seg + 1 in
   let tmp = seg_path t target ^ ".tmp" in
   St.delete tmp;
-  St.append tmp (frame ~segment:target Snapshot parts);
+  St.append tmp (frame ~segment:target ~known:t.snapshot_crcs Snapshot parts);
   St.fsync tmp;
   t.n_fsyncs <- t.n_fsyncs + 1;
   count t "journal.fsyncs";
@@ -346,6 +380,7 @@ let make ?(config = default_config) ?(storage = (module Storage.Posix : Storage.
     n_dir_fsyncs = 0;
     n_rotations = 0;
     n_compactions = 0;
+    snapshot_crcs = ref [];
     tel = None;
   }
 

@@ -113,7 +113,13 @@ val compact : t -> string list -> unit
     record whose payload is the concatenation of [parts], then deletes
     all older segments, making restore cost proportional to the record
     rather than to journal length. The parts are copied once, into the
-    framed record, which reaches storage in one append. Crash-safe: the snapshot is staged in a [.tmp]
+    framed record, which reaches storage in one append. The checksum
+    reads only new bytes: the journal keeps the CRC registers before and
+    after each part of its last compaction record, and a part that is
+    physically the same string again, in the same place behind the same
+    register (the engine's tag, program and history chunks, which lead
+    its records), takes the register after it instead of being read.
+    Recovery still checks every byte. Crash-safe: the snapshot is staged in a [.tmp]
     file, fsynced, atomically renamed, and the rename made durable with a
     directory fsync before any deletion — a crash anywhere leaves either
     the old segments intact or a valid new base. *)

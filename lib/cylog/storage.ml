@@ -40,31 +40,40 @@ let crc_tables =
      done;
      t)
 
-let crc32_sub s ~pos ~len =
-  if pos < 0 || len < 0 || pos > String.length s - len then invalid_arg "Storage.crc32_sub";
+let crc_start = 0xFFFFFFFF
+
+(* At the top level, not local to [crc_update]: a local function over [s]
+   would allocate a closure on every call. *)
+let byte s i = Char.code (String.unsafe_get s i)
+
+let crc_update crc s ~pos ~len =
+  if pos < 0 || len < 0 || pos > String.length s - len then invalid_arg "Storage.crc_update";
   let t = Lazy.force crc_tables in
-  let byte i = Char.code (String.unsafe_get s i) in
-  let c = ref 0xFFFFFFFF in
+  let c = ref crc in
   let i = ref pos in
   let words_end = pos + (len land lnot 7) in
   while !i < words_end do
     let p = !i in
-    let lo = !c lxor (byte p lor (byte (p + 1) lsl 8) lor (byte (p + 2) lsl 16) lor (byte (p + 3) lsl 24)) in
+    let lo = !c lxor (byte s p lor (byte s (p + 1) lsl 8) lor (byte s (p + 2) lsl 16) lor (byte s (p + 3) lsl 24)) in
     c :=
       Array.unsafe_get t ((7 * 256) + (lo land 0xff))
       lxor Array.unsafe_get t ((6 * 256) + ((lo lsr 8) land 0xff))
       lxor Array.unsafe_get t ((5 * 256) + ((lo lsr 16) land 0xff))
       lxor Array.unsafe_get t ((4 * 256) + (lo lsr 24))
-      lxor Array.unsafe_get t ((3 * 256) + byte (p + 4))
-      lxor Array.unsafe_get t ((2 * 256) + byte (p + 5))
-      lxor Array.unsafe_get t (256 + byte (p + 6))
-      lxor Array.unsafe_get t (byte (p + 7));
+      lxor Array.unsafe_get t ((3 * 256) + byte s (p + 4))
+      lxor Array.unsafe_get t ((2 * 256) + byte s (p + 5))
+      lxor Array.unsafe_get t (256 + byte s (p + 6))
+      lxor Array.unsafe_get t (byte s (p + 7));
     i := p + 8
   done;
   for p = words_end to pos + len - 1 do
-    c := Array.unsafe_get t ((!c lxor byte p) land 0xff) lxor (!c lsr 8)
+    c := Array.unsafe_get t ((!c lxor byte s p) land 0xff) lxor (!c lsr 8)
   done;
-  Int32.of_int (!c lxor 0xFFFFFFFF)
+  !c
+
+let crc_final crc = Int32.of_int (crc lxor 0xFFFFFFFF)
+
+let crc32_sub s ~pos ~len = crc_final (crc_update crc_start s ~pos ~len)
 
 (* --- POSIX files ------------------------------------------------------------ *)
 

@@ -68,9 +68,23 @@ module type S = sig
   (** Drop any cached handle for the path (flushing buffered bytes). *)
 end
 
+val crc_start : int
+(** The CRC-32 register before any byte. *)
+
+val crc_update : int -> string -> pos:int -> len:int -> int
+(** [crc_update crc s ~pos ~len] advances a CRC-32 register over a slice,
+    without copying it. Registers compose: folding over two slices in turn
+    gives the register of their concatenation, so a checksum over parts
+    can reuse the register after a part it has seen before.
+    @raise Invalid_argument when the slice is not inside the string. *)
+
+val crc_final : int -> int32
+(** The CRC-32 value a register stands for. *)
+
 val crc32_sub : string -> pos:int -> len:int -> int32
 (** CRC-32 (IEEE 802.3, polynomial 0xEDB88320) over a slice, without
-    copying it — the checksum guarding every journal record.
+    copying it — the checksum guarding every journal record:
+    [crc_final (crc_update crc_start s ~pos ~len)].
     @raise Invalid_argument when the slice is not inside the string. *)
 
 module Posix : S

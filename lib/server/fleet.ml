@@ -12,20 +12,21 @@ let card_add (a : Analysis.card) (b : Analysis.card) : Analysis.card =
   | Zero, c | c, Zero -> c
   | Finite m, Finite n -> Finite (min cap (m + n))
 
-let percentile samples q =
-  let n = Array.length samples in
-  if n = 0 then 0.
-  else begin
-    let sorted = Array.copy samples in
-    Array.sort compare sorted;
-    let q = if q < 0. then 0. else if q > 1. then 1. else q in
-    let rank = q *. float_of_int (n - 1) in
-    let lo = int_of_float (Float.floor rank) in
-    let hi = min (n - 1) (lo + 1) in
-    let frac = rank -. float_of_int lo in
-    ((1. -. frac) *. float_of_int sorted.(lo))
-    +. (frac *. float_of_int sorted.(hi))
-  end
+let percentiles samples =
+  let sorted = Array.copy samples in
+  Array.sort Int.compare sorted;
+  let n = Array.length sorted in
+  fun q ->
+    if n = 0 then 0.
+    else begin
+      let q = if q < 0. then 0. else if q > 1. then 1. else q in
+      let rank = q *. float_of_int (n - 1) in
+      let lo = int_of_float (Float.floor rank) in
+      let hi = min (n - 1) (lo + 1) in
+      let frac = rank -. float_of_int lo in
+      ((1. -. frac) *. float_of_int sorted.(lo))
+      +. (frac *. float_of_int sorted.(hi))
+    end
 
 type monitor_view = {
   f_spent : int;
@@ -197,7 +198,7 @@ let gather ~total_shards inputs =
         s.s_engines)
     inputs;
   let engines = List.concat_map (fun s -> s.s_engines) inputs in
-  let latencies = Array.concat (List.map (fun s -> s.s_latencies_ns) inputs) in
+  let latency_at = percentiles (Array.concat (List.map (fun s -> s.s_latencies_ns) inputs)) in
   let monitors =
     List.concat_map
       (fun s ->
@@ -216,9 +217,9 @@ let gather ~total_shards inputs =
         0 inputs;
     pending =
       List.fold_left (fun acc e -> acc + Engine.pending_count e) 0 engines;
-    p50_ns = percentile latencies 0.50;
-    p95_ns = percentile latencies 0.95;
-    p99_ns = percentile latencies 0.99;
+    p50_ns = latency_at 0.50;
+    p95_ns = latency_at 0.95;
+    p99_ns = latency_at 0.99;
     metrics;
     monitor = merge_monitors monitors;
     certificate =

@@ -29,10 +29,11 @@ val card_add : Analysis.card -> Analysis.card -> Analysis.card
     10^9; [Zero] is neutral; [Bounded_by_input] absorbs finite summands;
     [Unbounded r] absorbs everything (left reason wins). *)
 
-val percentile : int array -> float -> float
-(** Exact order statistic (nearest-rank with linear interpolation) of raw
-    samples; [0.] on an empty array. Sorts a copy — the input is not
-    mutated. *)
+val percentiles : int array -> float -> float
+(** [percentiles samples] sorts one copy of raw samples and reads from
+    it the exact order statistic (nearest-rank with linear interpolation)
+    at each quantile it is given; [0.] on an empty array. The input is
+    not mutated. *)
 
 (** The fleet-wide campaign monitor read. *)
 type monitor_view = {

@@ -169,7 +169,7 @@ let resolve_poll t ~campaign cursor =
   let newest_first = ref [] in
   Array.iteri
     (fun i sh ->
-      if not (Shard.slot_failed sh ~campaign) then
+      if Option.is_none (Shard.failure sh ~campaign) then
         match Shard.engine sh ~campaign with
         | None -> ()
         | Some e ->

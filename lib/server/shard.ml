@@ -32,7 +32,7 @@ type slot = {
   journal_dir : string option;
   journal_config : Journal.config option;
   mutable storage : (module Storage.S) option;
-  mutable crashed : bool;
+  mutable failure : string option;  (* the exception that stopped the slot *)
 }
 
 type t = {
@@ -84,7 +84,7 @@ let open_slot t ~campaign ?journal_dir ?journal_config ?storage ?lease ?policy
   Option.iter (fun cfg -> Engine.set_monitor engine (Some cfg)) monitor;
   ignore (Engine.run engine);
   Hashtbl.add t.slots campaign
-    { campaign; engine; journal_dir; journal_config; storage; crashed = false };
+    { campaign; engine; journal_dir; journal_config; storage; failure = None };
   t.order <- campaign :: t.order;
   Telemetry.Metrics.incr t.shard_metrics "shard.campaigns_opened"
 
@@ -93,11 +93,8 @@ let find t campaign = Hashtbl.find_opt t.slots campaign
 
 let engine t ~campaign = Option.map (fun s -> s.engine) (find t campaign)
 
-let slot_failed t ~campaign =
-  match find t campaign with Some s -> s.crashed | None -> false
-
-let failed t =
-  Hashtbl.fold (fun _ s acc -> acc || s.crashed) t.slots false
+let failure t ~campaign = Option.bind (find t campaign) (fun s -> s.failure)
+let failed t = Hashtbl.fold (fun _ s acc -> acc || Option.is_some s.failure) t.slots false
 
 let post t ~campaign req =
   let ticket = { filled = None } in
@@ -125,6 +122,20 @@ let grant_lease slot ~worker ~now =
   in
   Option.value (Seq.find_map grant (Engine.pending_seq e)) ~default:No_task
 
+(* An answer re-enters the fixpoint only through the rows it wrote. Every
+   request starts from quiescence, so a run after an answer that only
+   banked a vote would fire nothing, and journal an entry that replays to
+   nothing; the same holds after a reclaim or a decline, which only
+   requeue or dead-letter tasks. *)
+let answered m slot = function
+  | Ok ev ->
+      if Fold.writes ev then ignore (Engine.run slot.engine);
+      Telemetry.Metrics.incr m "shard.answers_accepted";
+      Answered ev
+  | Error rej ->
+      Telemetry.Metrics.incr m "shard.answers_rejected";
+      Rejected rej
+
 let execute t slot req =
   let m = t.shard_metrics in
   match req with
@@ -136,32 +147,14 @@ let execute t slot req =
       | r ->
           Telemetry.Metrics.incr m "shard.leases_refused";
           r)
-  | Supply { task; worker; values } -> (
-      match Engine.supply slot.engine task ~worker values with
-      | Ok ev ->
-          ignore (Engine.run slot.engine);
-          Telemetry.Metrics.incr m "shard.answers_accepted";
-          Answered ev
-      | Error rej ->
-          Telemetry.Metrics.incr m "shard.answers_rejected";
-          Rejected rej)
-  | Answer { task; worker; yes } -> (
-      match Engine.answer_existence slot.engine task ~worker yes with
-      | Ok ev ->
-          ignore (Engine.run slot.engine);
-          Telemetry.Metrics.incr m "shard.answers_accepted";
-          Answered ev
-      | Error rej ->
-          Telemetry.Metrics.incr m "shard.answers_rejected";
-          Rejected rej)
+  | Supply { task; worker; values } ->
+      answered m slot (Engine.supply slot.engine task ~worker values)
+  | Answer { task; worker; yes } ->
+      answered m slot (Engine.answer_existence slot.engine task ~worker yes)
   | Decline { task } ->
       Engine.decline slot.engine task;
-      ignore (Engine.run slot.engine);
       Declined
-  | Reclaim { now } ->
-      let expired = Engine.reclaim slot.engine ~now in
-      ignore (Engine.run slot.engine);
-      Reclaimed (List.length expired)
+  | Reclaim { now } -> Reclaimed (List.length (Engine.reclaim slot.engine ~now))
   | Sample { round } -> Sampled (Engine.monitor_sample slot.engine ~round)
 
 let pump_one t =
@@ -172,7 +165,7 @@ let pump_one t =
       let answer =
         match find t campaign with
         | None -> Crashed_shard
-        | Some slot when slot.crashed -> Crashed_shard
+        | Some { failure = Some _; _ } -> Crashed_shard
         | Some slot -> (
             let t0 = Unix.gettimeofday () in
             try
@@ -180,8 +173,12 @@ let pump_one t =
               record_latency t
                 (int_of_float ((Unix.gettimeofday () -. t0) *. 1e9));
               r
-            with Storage.Crashed | Storage.No_space ->
-              slot.crashed <- true;
+            with exn ->
+              (* A storage crash, or anything else the slot raised: it
+                 stopped mid-request, so it serves nothing until
+                 [recover_slot] rebuilds it, and the rest of the shard
+                 keeps serving. *)
+              slot.failure <- Some (Printexc.to_string exn);
               Telemetry.Metrics.incr t.shard_metrics "shard.crashes";
               Crashed_shard)
       in
@@ -198,7 +195,7 @@ let pump t =
 let pending_total t =
   Hashtbl.fold
     (fun _ s acc ->
-      if s.crashed then acc else acc + Engine.pending_count s.engine)
+      if Option.is_some s.failure then acc else acc + Engine.pending_count s.engine)
     t.slots 0
 
 let recover_slot t ~campaign ?storage () =
@@ -223,6 +220,6 @@ let recover_slot t ~campaign ?storage () =
             Engine.recover ?config:slot.journal_config ?storage:slot.storage dir
           in
           slot.engine <- engine;
-          slot.crashed <- false;
+          slot.failure <- None;
           Telemetry.Metrics.incr t.shard_metrics "shard.recoveries";
           stats)

@@ -4,18 +4,26 @@
     durable journal directory) and a FIFO mailbox of requests. Nothing
     executes at post time: {!post} enqueues a ticketed request and returns
     immediately; {!pump_one} dequeues and executes exactly one request
-    against the addressed slot, runs the engine to quiescence when the
-    request mutated it, and fills the ticket's reply. The server's
+    against the addressed slot, runs the engine to quiescence after an
+    accepted answer that wrote a relation ({!Cylog.Fold.writes}), and
+    fills the ticket's reply. Every request starts from quiescence and
+    rules read only relations, so no other request runs the engine: a
+    vote that leaves its task pending, a reclaim or a decline would fire
+    nothing, and its run would journal an entry that replays to nothing.
+    The server's
     synchronous facade round-robin-pumps all shards until its ticket
     resolves, so shards make progress independently of each other while
     the whole fleet stays deterministic — no threads, one total order of
     requests per shard, byte-identical traces run to run.
 
-    A storage crash ({!Cylog.Storage.Crashed} / [No_space]) while pumping
-    marks the slot failed; subsequent requests to it answer
-    [Crashed_shard] without touching the engine, until {!recover_slot}
-    rebuilds it from its journal ({!Cylog.Engine.recover}) — restore work
-    is O(live state) after compaction, independent of campaign length. *)
+    Any exception a slot raises while pumping — a storage crash
+    ({!Cylog.Storage.Crashed} / [No_space]) or an engine error — marks
+    the slot failed and keeps the exception's text ({!failure}); the
+    request and every later one to that slot answer [Crashed_shard]
+    without touching the engine, while the shard's other slots keep
+    serving, until {!recover_slot} rebuilds it from its journal
+    ({!Cylog.Engine.recover}) — restore work is O(live state) after
+    compaction, independent of campaign length. *)
 
 open Cylog
 
@@ -42,7 +50,7 @@ type reply =
   | Declined
   | Reclaimed of int  (** leases expired by this reclaim *)
   | Sampled of Monitor.firing list
-  | Crashed_shard  (** the slot's storage crashed; recover it first *)
+  | Crashed_shard  (** the slot failed (see {!failure}); recover it first *)
 
 type ticket
 (** A pending reply slot, filled when the request is pumped. *)
@@ -87,9 +95,12 @@ val engine : t -> campaign:string -> Engine.t option
 (** The slot's live engine — the fleet layer's scatter source. [None]
     for unknown campaigns. *)
 
-val slot_failed : t -> campaign:string -> bool
+val failure : t -> campaign:string -> string option
+(** Why the slot failed: the text of the exception it raised. [None]
+    while it serves, and for unknown campaigns. *)
+
 val failed : t -> bool
-(** Some slot is crashed and awaiting recovery. *)
+(** Some slot is failed and awaiting recovery. *)
 
 val post : t -> campaign:string -> request -> ticket
 (** Enqueue; never executes. Unknown campaigns are answered

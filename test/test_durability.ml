@@ -542,7 +542,9 @@ let test_untagged_state_payload_refused () =
   Alcotest.(check int) "untagged Marshal image" 1 (refused "untagged" [ untagged ]);
   Alcotest.(check int) "the version before the strategy switch" 2
     (refused "version 2" [ "CYLOG-STATE/\002"; untagged ]);
-  Alcotest.(check int) "a later tag" 4 (refused "later" [ "CYLOG-STATE/\004"; untagged ])
+  Alcotest.(check int) "the version before history-first records" 3
+    (refused "version 3" [ "CYLOG-STATE/\003"; untagged ]);
+  Alcotest.(check int) "a later tag" 5 (refused "later" [ "CYLOG-STATE/\005"; untagged ])
 
 (* Recovery seeds the engine's encoded history from the base record, so
    a recovered engine's compactions copy those chunks instead of encoding
@@ -631,6 +633,43 @@ let test_recover_reads_each_segment_once () =
   Alcotest.(check bool) "same journal" true
     (Engine.journal_dump recovered = Engine.journal_dump live)
 
+(* CRC registers compose, so a compaction can take the register after
+   each part an earlier compaction framed in the same place behind the
+   same register. Compact five times, each record repeating the previous
+   record's leading parts (the same strings) and adding a chunk and a
+   fresh last part, then once with a fresh first chunk in front of the
+   same later strings; after each, recovery verifies the whole record and
+   reads its payload back. *)
+let prop_crc_registers_compose =
+  QCheck.Test.make ~name:"CRC register folds over any split" ~count:500
+    QCheck.(pair (string_of_size Gen.(0 -- 100)) small_nat)
+    (fun (s, k) ->
+      let k = k mod (String.length s + 1) in
+      let head = Storage.crc_update Storage.crc_start s ~pos:0 ~len:k in
+      Storage.crc_final (Storage.crc_update head s ~pos:k ~len:(String.length s - k))
+      = crc32 s)
+
+let test_compaction_reuses_registers () =
+  QCheck.Test.check_exn prop_crc_registers_compose;
+  let st = Sim.storage (Sim.create ()) in
+  let j = Journal.create ~storage:st ~genesis:[ "genesis" ] "j" in
+  let tag = "TAG" in
+  let chunks = ref [] in
+  for i = 1 to 6 do
+    chunks :=
+      if i <= 5 then !chunks @ [ String.make (100 * i) (Char.chr (64 + i)) ]
+      else String.make 100 'Z' :: List.tl !chunks;
+    let parts = (tag :: !chunks) @ [ Printf.sprintf "live state %d" i ] in
+    Journal.compact j parts;
+    Journal.append j (Printf.sprintf "entry %d" i);
+    let _, r = Journal.recover ~storage:st "j" in
+    Alcotest.(check string) (Printf.sprintf "compaction %d: shape" i) "SE" (shape r);
+    Alcotest.(check (list string))
+      (Printf.sprintf "compaction %d: payloads" i)
+      [ String.concat "" parts; Printf.sprintf "entry %d" i ]
+      (payloads r)
+  done
+
 let suite =
   [ ( "durability.journal",
       [ Alcotest.test_case "create/append/recover round-trip" `Quick
@@ -665,4 +704,6 @@ let suite =
         Alcotest.test_case "recover, continue, recover again across compactions" `Quick
           test_recover_continue_recover;
         Alcotest.test_case "recovery reads each surviving segment once" `Quick
-          test_recover_reads_each_segment_once ] ) ]
+          test_recover_reads_each_segment_once;
+        Alcotest.test_case "compactions reuse the CRC registers of repeated parts" `Quick
+          test_compaction_reuses_registers ] ) ]

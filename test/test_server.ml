@@ -281,6 +281,47 @@ let test_kill_and_recover_subset () =
     (Server.pending_total server);
   Alcotest.(check int) "every item resolved through the poll" items !resolved
 
+(* --- An engine error fails one slot, not the shard ------------------------ *)
+
+(* One shard holds campaigns [a] and [b]. An answer [v = 0] to [a] makes
+   [Q(id, r: 10 / v)] divide by zero inside the slot's run. The shard
+   contains it: the reply is [Shard_down], the slot keeps the exception's
+   text, [shard.crashes] counts it, and [b] and the fleet view keep
+   answering. *)
+let divide_source =
+  "schema:\n  Item(id);\n  Val(id, v);\n  Q(id, r);\nrules:\n  Item(id:1);\n\
+  \  Val(id, v)/open <- Item(id);\n  Q(id, r: 10 / v) <- Val(id, v);\n"
+
+let test_engine_error_fails_one_slot () =
+  let server = Server.create ~shards:1 () in
+  List.iter
+    (fun name -> Server.open_campaign server ~name (Parser.parse_exn divide_source))
+    [ "a"; "b" ];
+  let worker = Reldb.Value.String "w1" in
+  let supply campaign v =
+    match Server.lease server ~campaign ~worker ~now:0 with
+    | None -> Alcotest.failf "%s: no task to lease" campaign
+    | Some (task, _, _) ->
+        Server.supply server ~campaign task ~worker [ ("v", Reldb.Value.Int v) ]
+  in
+  (match supply "a" 0 with
+  | Server.Shard_down 0 -> ()
+  | _ -> Alcotest.fail "a division by zero answers Shard_down");
+  let shard = Server.shard server 0 in
+  Alcotest.(check (option string)) "the slot keeps the exception text"
+    (Some (Printexc.to_string Division_by_zero))
+    (Server.Shard.failure shard ~campaign:"a");
+  Alcotest.(check int) "shard.crashes counts it" 1
+    (Telemetry.Metrics.counter (Server.Shard.metrics shard) "shard.crashes");
+  Alcotest.(check (option string)) "the other slot serves" None
+    (Server.Shard.failure shard ~campaign:"b");
+  (match supply "b" 2 with
+  | Server.Accepted _ -> ()
+  | _ -> Alcotest.fail "campaign b accepts after a fails");
+  let q = Reldb.Database.find_exn (Engine.database (server_engine server 0 ~campaign:"b")) "Q" in
+  Alcotest.(check int) "b ran its rule" 1 (Reldb.Relation.cardinal q);
+  Alcotest.(check int) "Server.stats still answers" 1 (Server.stats server).Server.Fleet.shards
+
 (* --- Lease order --------------------------------------------------------- *)
 
 (* [lease] grants the oldest pending task the worker may take: once their
@@ -430,6 +471,179 @@ let test_resolve_poll_kinds () =
   Alcotest.(check int) "dead letters = open.dead_lettered" (counter "open.dead_lettered")
     !dead
 
+(* --- Latency percentiles ------------------------------------------------------ *)
+
+(* [Server.stats] reads p50, p95 and p99 from one sorted copy of the
+   request latencies. On a shuffled array they are the values the
+   per-quantile interpolation gave: rank q(n - 1), linear between the
+   order statistics either side. *)
+let test_percentiles_sort_once () =
+  let samples =
+    [| 42; 7; 19; 3; 88; 61; 25; 14; 97; 50; 33; 5; 76; 68; 11; 29; 90; 2; 57; 39 |]
+  in
+  let before = Array.copy samples in
+  let at = Server.Fleet.percentiles samples in
+  Alcotest.(check (float 0.)) "p50" 36. (at 0.50);
+  Alcotest.(check (float 0.)) "p95" 90.350000000000009 (at 0.95);
+  Alcotest.(check (float 0.)) "p99" 95.669999999999987 (at 0.99);
+  Alcotest.(check (array int)) "the input is not mutated" before samples;
+  Alcotest.(check (float 0.)) "an empty array reads 0" 0. (Server.Fleet.percentiles [||] 0.5)
+
+(* --- The run policy ------------------------------------------------------ *)
+
+(* Answers that feed rules: [S] reads the answered relation [Label], the
+   existence question [E] opens on what [S] derives, and the standing
+   task [N] (a fresh auto key per answer) feeds [T]. *)
+let policy_source ~items =
+  let buf = Buffer.create 512 in
+  Buffer.add_string buf
+    "schema:\n  Item(id);\n  Label(id, label);\n  Seen(id, label);\n  Good(id);\n\
+    \  Note(nid key auto, id, text);\n  Noted(id, text);\nrules:\n";
+  for i = 0 to items - 1 do
+    Buffer.add_string buf (Printf.sprintf "  Item(id:%d);\n" i)
+  done;
+  Buffer.add_string buf
+    "  L: Label(id, label)/open <- Item(id);\n\
+    \  S: Seen(id, label) <- Label(id, label);\n\
+    \  E: Good(id)/open <- Seen(id, label:\"a\");\n\
+    \  N: Note(nid, id, text)/open <- Item(id), id < 2;\n\
+    \  T: Noted(id, text) <- Note(nid, id, text);\n";
+  Buffer.contents buf
+
+(* A one-round TTL, so leases a worker walks away from expire at the
+   next round's reclaim, requeue, and dead-letter at the second expiry;
+   one answer with the wrong attributes dead-letters its task. *)
+let short_lease = { Lease.ttl = 1; max_timeouts = 2; backoff_base = 1; max_rejections = 1 }
+
+let slot_rows e =
+  Reldb.Database.relations (Engine.database e)
+  |> List.concat_map (fun rel ->
+         List.map
+           (fun t -> (Reldb.Relation.name rel, Reldb.Tuple.to_string t))
+           (Reldb.Relation.tuples rel))
+  |> List.sort compare
+
+(* Seeded traffic over the facade. Each round reclaims leases, then each
+   worker in turn leases a task and answers it, answers with the wrong
+   attribute, declines it or walks away. After every facade call a bare
+   engine per shard makes the engine calls the shard's slot journaled
+   since the last call, then runs, so it runs after every request. A
+   shard that skipped a run its request needed would fire later, or
+   never, and the two would part. Returns the slots' engines. *)
+let run_policy_case ~shards ~policy ~seed =
+  let program = Parser.parse_exn (policy_source ~items:10) in
+  let server = Server.create ~shards () in
+  Server.open_campaign server ~name:campaign ~partition_by:Fleet_sim.placements
+    ~lease:short_lease ~policy program;
+  let bare = Array.map Engine.load (Router.split_program ~shards Fleet_sim.placements program) in
+  let synced = Array.make shards 0 in
+  let label what = Printf.sprintf "%d shards, seed %d: %s" shards seed what in
+  let sync () =
+    for i = 0 to shards - 1 do
+      let slot = server_engine server i ~campaign in
+      let entries = Engine.journal_entries slot in
+      List.iteri (fun k e -> if k >= synced.(i) then Engine.apply_entry bare.(i) e) entries;
+      synced.(i) <- List.length entries;
+      ignore (Engine.run bare.(i));
+      Alcotest.(check int)
+        (label (Printf.sprintf "shard %d: events after each call" i))
+        (Engine.event_count bare.(i)) (Engine.event_count slot)
+    done
+  in
+  sync ();
+  let rng = Random.State.make [| seed |] in
+  let workers = List.init 5 (fun i -> Reldb.Value.String (Printf.sprintf "w%d" i)) in
+  let pick () = Reldb.Value.String (List.nth [ "a"; "b"; "c" ] (Random.State.int rng 3)) in
+  for round = 1 to 24 do
+    ignore (Server.reclaim server ~campaign ~now:round);
+    sync ();
+    List.iter
+      (fun worker ->
+        let lease = Server.lease server ~campaign ~worker ~now:round in
+        sync ();
+        match lease with
+        | None -> ()
+        | Some (task, (ot : Engine.open_tuple), _) ->
+            let roll = Random.State.int rng 20 in
+            if roll < 3 then ()
+            else begin
+              if roll < 5 then Server.decline server ~campaign task
+              else if roll < 6 then
+                ignore
+                  (Server.supply server ~campaign task ~worker
+                     [ ("wrong", Reldb.Value.String "x") ])
+              else if ot.existence then
+                ignore
+                  (Server.answer_existence server ~campaign task ~worker
+                     (Random.State.bool rng))
+              else
+                ignore
+                  (Server.supply server ~campaign task ~worker
+                     (List.map (fun a -> (a, pick ())) ot.open_attrs));
+              sync ()
+            end)
+      (Crowd.Simulator.shuffle rng workers)
+  done;
+  Array.iteri
+    (fun i b ->
+      let slot = server_engine server i ~campaign in
+      let what = label (Printf.sprintf "shard %d" i) in
+      Alcotest.(check string) (what ^ ": events")
+        (Marshal.to_string (Engine.events b) [ Marshal.No_sharing ])
+        (Marshal.to_string (Engine.events slot) [ Marshal.No_sharing ]);
+      Alcotest.(check (list (pair string string))) (what ^ ": rows") (slot_rows b)
+        (slot_rows slot);
+      let ids = List.map (fun (o : Engine.open_tuple) -> o.id) in
+      Alcotest.(check (list int)) (what ^ ": pending ids") (ids (Engine.pending b))
+        (ids (Engine.pending slot));
+      Alcotest.(check (list int)) (what ^ ": dead letters")
+        (ids (List.map fst (Engine.dead_letters b)))
+        (ids (List.map fst (Engine.dead_letters slot)));
+      Alcotest.(check bool) (what ^ ": dead-letter reasons") true
+        (List.map snd (Engine.dead_letters b) = List.map snd (Engine.dead_letters slot)))
+    bare;
+  List.init shards (fun i -> server_engine server i ~campaign)
+
+let test_run_policy_differential () =
+  let policies =
+    [ Engine.Fixed 2; Engine.Fixed 3;
+      Engine.Adaptive { tau = 0.8; min_votes = 2; max_votes = 4 } ]
+  in
+  let slots =
+    List.concat_map
+      (fun shards ->
+        List.concat_map
+          (fun policy ->
+            List.concat_map (fun seed -> run_policy_case ~shards ~policy ~seed) [ 3; 17 ])
+          policies)
+      [ 1; 2 ]
+  in
+  (* The traffic reaches every path the run policy decides on. *)
+  let count f = List.fold_left (fun acc e -> acc + f e) 0 slots in
+  let counter name e = Telemetry.Metrics.counter (Engine.metrics e) name in
+  let rows rel e =
+    match Reldb.Database.find (Engine.database e) rel with
+    | Some r -> Reldb.Relation.cardinal r
+    | None -> 0
+  in
+  let dead p e = List.length (List.filter (fun (_, r) -> p r) (Engine.dead_letters e)) in
+  let events p e = List.length (List.filter p (Engine.events e)) in
+  let banked (ev : Engine.event) =
+    Fold.vote ev <> None && Fold.retirements ev = []
+  in
+  List.iter
+    (fun (what, n) -> Alcotest.(check bool) (what ^ " occurs") true (n > 0))
+    [ ("a reclaim that requeues", count (counter "lease.reclaimed.retry"));
+      ("a timed-out dead letter", count (dead (( = ) Lease.Timed_out)));
+      ("a declined dead letter", count (dead (( = ) Lease.Declined)));
+      ( "a dead letter for rejected answers",
+        count (dead (function Lease.Rejected_answers _ -> true | _ -> false)) );
+      ("a vote that only banks", count (events banked));
+      ("a rule reading an answered relation", count (rows "Seen"));
+      ( "an answer to an existence question",
+        count (events (fun ev -> ev.label = Some "E" && ev.by_human <> None)) );
+      ("a standing answer feeding a rule", count (rows "Noted")) ]
+
 let suite =
   [ ( "server.router",
       [ Alcotest.test_case "hash and shard assignment are deterministic" `Quick
@@ -440,10 +654,14 @@ let suite =
       [ Alcotest.test_case "1-shard server is a bare engine, byte for byte" `Quick
           test_one_shard_differential;
         Alcotest.test_case "every shard's journal replays its engine's trace" `Quick
-          test_multi_shard_replay ] );
+          test_multi_shard_replay;
+        Alcotest.test_case "run only after a write = a bare engine run after every request"
+          `Quick test_run_policy_differential ] );
     ( "server.recovery",
       [ Alcotest.test_case "kill and recover a subset of shards mid-campaign" `Quick
-          test_kill_and_recover_subset ] );
+          test_kill_and_recover_subset;
+        Alcotest.test_case "an engine error fails its slot; the shard keeps serving" `Quick
+          test_engine_error_fails_one_slot ] );
     ( "server.lease",
       [ Alcotest.test_case "oldest grantable task first, none when drained" `Quick
           test_lease_order ] );
@@ -451,4 +669,6 @@ let suite =
       [ Alcotest.test_case "certificate counts shards, not campaign slots" `Quick
           test_certificate_counts_shards;
         Alcotest.test_case "resolve_poll reports each retirement once, by kind" `Quick
-          test_resolve_poll_kinds ] ) ]
+          test_resolve_poll_kinds;
+        Alcotest.test_case "p50, p95 and p99 from one sorted copy" `Quick
+          test_percentiles_sort_once ] ) ]
